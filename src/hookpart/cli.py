@@ -8,6 +8,7 @@ stdout (or --out PATH); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -250,16 +251,30 @@ def _render_matching(matching: explorer.Matching, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _pool_size(jobs: int, n_items: int, cpus: Optional[int]) -> int:
+    """Worker count for a range: never more than the items or the cores."""
+    return max(1, min(jobs, n_items, cpus or 1))
+
+
 def _map_ordered(fn: Callable[[int], VerifyReport], items: Sequence[int], jobs: int) -> list[VerifyReport]:
     """Apply fn over items, possibly in parallel; results keep input order,
-    so the final output is identical for every jobs setting."""
-    if jobs > 1 and len(items) > 3:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(items) // (jobs * 4))
-                return list(pool.map(fn, items, chunksize=chunk))
-        except Exception as exc:  # pool unavailable: fall back, result unchanged
-            print(f"note: worker pool unavailable ({exc}); running serially", file=sys.stderr)
+    so the final output is identical for every jobs setting.
+
+    Only a pool that cannot be created or started falls back to a serial
+    run; an exception raised by fn itself propagates as it is.
+    """
+    workers = _pool_size(jobs, len(items), os.cpu_count())
+    if workers > 1 and len(items) > 3:
+        chunk = max(1, len(items) // (workers * 4))
+        with contextlib.ExitStack() as stack:
+            try:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                # map submits every chunk at once, which starts the workers
+                results = pool.map(fn, items, chunksize=chunk)
+            except (OSError, NotImplementedError) as exc:
+                print(f"note: worker pool unavailable ({exc}); running serially", file=sys.stderr)
+            else:
+                return list(results)
     return [fn(n) for n in items]
 
 

@@ -64,7 +64,7 @@ class QSeries:
     def __init__(self, coeffs: Sequence[int]):
         if len(coeffs) == 0:
             raise ValueError("a series carries at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("QSeries is immutable")
@@ -108,36 +108,49 @@ class QSeries:
         return QSeries([-a for a in self.coeffs])
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        """Truncated product over nonzero terms only.
+
+        The sparser operand drives the outer loop and each inner loop stops
+        at the order, so the cost is O(nnz(a) * nnz(b)) coefficient
+        products at most: O(order) for a monomial or a two-term factor
+        times anything, O(order^2) for two dense series.
+        """
         _check_orders(self, other)
-        a, b = self.coeffs, other.coeffs
-        top = len(a)
+        top = len(self.coeffs)
+        outer, inner = _nonzero(self.coeffs), _nonzero(other.coeffs)
+        if len(outer) > len(inner):
+            outer, inner = inner, outer
         out = [0] * top
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(top - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
+        for i, ai in outer:
+            room = top - i
+            for j, bj in inner:
+                if j >= room:
+                    break
+                out[i + j] += ai * bj
         return QSeries(out)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse; requires constant term 1.
 
         Solves for the inverse coefficients one exponent at a time, so the
-        result is exact through the shared order.
+        result is exact through the shared order.  Each step runs over the
+        nonzero terms of the input only, so the cost is O(order * nnz):
+        O(order) for 1 - q^s, O(order^1.5) for (q)_inf, which has
+        O(sqrt(order)) nonzero terms, O(order^2) for a dense input.
         """
         a = self.coeffs
         if a[0] != 1:
             raise ValueError(f"can only invert a series with constant term 1, got {a[0]}")
+        terms = _nonzero(a)[1:]
         top = len(a)
         b = [0] * top
         b[0] = 1
         for e in range(1, top):
             acc = 0
-            for i in range(1, e + 1):
-                ai = a[i]
-                if ai:
-                    acc += ai * b[e - i]
+            for i, ai in terms:
+                if i > e:
+                    break
+                acc += ai * b[e - i]
             b[e] = -acc
         return QSeries(b)
 
@@ -161,6 +174,11 @@ class QSeries:
                     terms.append(f"{c}*{mono}")
         body = " + ".join(terms).replace("+ -", "- ") if terms else "0"
         return f"{body} + O(q^{self.order + 1})"
+
+
+def _nonzero(coeffs: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero coefficients as (exponent, coefficient), ascending."""
+    return [(e, c) for e, c in enumerate(coeffs) if c]
 
 
 def _check_orders(a: QSeries, b: QSeries) -> None:
@@ -193,6 +211,11 @@ def q_pochhammer(k: int, count: Optional[int], order: int) -> QSeries:
     factors (1 - q^e) with e <= order; the rest are 1 to this precision.
     ``count=0`` is the empty product.  k must be >= 1 -- the k=0
     specialization has no constant-term-1 expansion to work in.
+
+    Each two-term factor is multiplied into one running coefficient list
+    in place, up to the product's degree so far, so the cost is at most
+    O(factors * order): O(order^2) for (q)_inf, where a dense product per
+    factor would be O(order^3).
     """
     if k < 1:
         raise ValueError("q_pochhammer requires k >= 1")
@@ -201,13 +224,15 @@ def q_pochhammer(k: int, count: Optional[int], order: int) -> QSeries:
     if count is None:
         exponents = range(k, order + 1)
     else:
-        exponents = range(k, k + count)
-    result = one(order)
+        exponents = range(k, min(k + count, order + 1))
+    acc = [1] + [0] * order
+    degree = 0
     for e in exponents:
-        if e > order:
-            break
-        result = result * (one(order) - make_monomial(e, order))
-    return result
+        degree = min(degree + e, order)
+        # multiply by (1 - q^e) in place; descending, so acc[i - e] is old
+        for i in range(degree, e - 1, -1):
+            acc[i] -= acc[i - e]
+    return QSeries(acc)
 
 
 @lru_cache(maxsize=None)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 from hookpart.partitions import box_gf_brute, conjugate, partitions_of
@@ -80,7 +81,8 @@ def _pair_multisets(n: int) -> tuple[PairMultiset, PairMultiset]:
         for idx, cnt in enumerate(flat):
             if cnt:
                 counts[divmod(idx, width)] = cnt
-        out.append(PairMultiset(counts=counts))
+        # read-only view: callers share this cached object
+        out.append(PairMultiset(counts=MappingProxyType(counts)))
     return out[0], out[1]
 
 

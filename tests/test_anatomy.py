@@ -112,3 +112,10 @@ def test_proof_chain_zero_order():
     # every stage truncates to the zero series when c+d+1 > order
     assert proof_chain(0, 0, 0).passed
     assert lemma_rhs(0, 0, 0).is_zero()
+
+
+def test_proof_chain_order_100():
+    # the chain at the benchmark's order: every stage is a product of
+    # two-term factors, so this stays well under a second
+    report = proof_chain(0, 0, 100)
+    assert report.passed, report

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
 
+import pytest
+
+from hookpart import cli
 from hookpart.cli import run
 from hookpart.explorer import canonical_matching
 from hookpart.qseries import euler_inv
@@ -184,3 +188,45 @@ def test_failing_report_renders_and_exits_1():
     csv_text, code = _render_reports([bad], "csv")
     assert code == 1
     assert csv_text.splitlines()[1].startswith("demo(n=3),false")
+
+
+# --- worker pool ----------------------------------------------------------------
+
+
+def test_pool_size_clamps_to_items_and_cores():
+    assert cli._pool_size(10**6, 41, 2) == 2
+    assert cli._pool_size(10**6, 41, 64) == 41
+    assert cli._pool_size(2, 41, 2) == 2
+    assert cli._pool_size(3, 41, None) == 1
+    assert cli._pool_size(1, 41, 8) == 1
+    assert cli._pool_size(4, 0, 8) == 1
+
+
+_MAIN_PID = os.getpid()
+_serial_calls = []
+
+
+def _divide_by_zero(n):
+    # calls made in this process (not in a pool worker) mean a serial run
+    if os.getpid() == _MAIN_PID:
+        _serial_calls.append(n)
+    return n // 0
+
+
+def test_verifier_error_propagates_without_serial_rerun(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _serial_calls.clear()
+    with pytest.raises(ZeroDivisionError):
+        cli._map_ordered(_divide_by_zero, range(8), jobs=2)
+    assert _serial_calls == []
+    assert "worker pool unavailable" not in capsys.readouterr().err
+
+
+def test_pool_start_failure_falls_back_to_serial(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("no semaphores here")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    assert cli._map_ordered(str, range(5), jobs=2) == ["0", "1", "2", "3", "4"]
+    assert "worker pool unavailable (no semaphores here)" in capsys.readouterr().err

@@ -98,6 +98,9 @@ def test_immutable():
 def test_invert_geometric():
     assert (one(4) - make_monomial(1, 4)).invert().coeffs == (1, 1, 1, 1, 1)
     assert one(5).invert() == one(5)
+    for s in range(2, 8):
+        inverse = (one(20) - make_monomial(s, 20)).invert()
+        assert inverse.coeffs == tuple(1 if e % s == 0 else 0 for e in range(21))
 
 
 def test_invert_two_bounded_parts():
@@ -142,8 +145,74 @@ def test_mul_associative_with_unit(triple):
     assert a * one(a.order) == a
 
 
-@settings(max_examples=60)
-@given(unit_series)
+# --- the sparse kernel against the dense oracle -------------------------
+
+
+def truncated_product(a, b):
+    return tuple(poly_mul(a.coeffs, b.coeffs)[: a.order + 1])
+
+
+coefficient = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def sparse_series(draw, order):
+    """A series at the given order with only a few nonzero coefficients."""
+    coeffs = [0] * (order + 1)
+    for e in draw(st.lists(st.integers(0, order), max_size=3)):
+        coeffs[e] = draw(coefficient)
+    return QSeries(coeffs)
+
+
+@st.composite
+def dense_series(draw, order):
+    return QSeries(draw(st.lists(coefficient, min_size=order + 1, max_size=order + 1)))
+
+
+@st.composite
+def mixed_pair(draw):
+    order = draw(st.integers(0, 30))
+    a = draw(sparse_series(order))
+    b = draw(dense_series(order))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=150)
+@given(mixed_pair())
+def test_mul_sparse_dense_matches_oracle(pair):
+    a, b = pair
+    assert (a * b).coeffs == truncated_product(a, b)
+
+
+@given(st.integers(0, 20), st.integers(0, 30), st.data())
+def test_mul_monomial_and_two_term_factor(order, e, data):
+    b = data.draw(dense_series(order))
+    shifted = (make_monomial(e, order) * b).coeffs
+    assert shifted == truncated_product(make_monomial(e, order), b)
+    assert shifted == ((0,) * e + b.coeffs)[: order + 1]
+    factor = one(order) - make_monomial(e, order)
+    assert (factor * b).coeffs == truncated_product(factor, b)
+    assert (b * factor).coeffs == truncated_product(factor, b)
+    if e > order:
+        assert factor == one(order) and factor * b == b
+
+
+@given(st.data())
+def test_mul_order_zero(data):
+    a = data.draw(dense_series(0))
+    b = data.draw(dense_series(0))
+    assert (a * b).coeffs == (a.coeffs[0] * b.coeffs[0],)
+
+
+@st.composite
+def sparse_unit_series(draw):
+    order = draw(st.integers(0, 40))
+    coeffs = draw(sparse_series(order)).coeffs
+    return QSeries((1,) + coeffs[1:])
+
+
+@settings(max_examples=80)
+@given(st.one_of(unit_series, sparse_unit_series()))
 def test_invert_roundtrip(a):
     assert a * a.invert() == one(a.order)
 
@@ -164,6 +233,25 @@ def test_q_pochhammer_matches_expansion():
     assert q_pochhammer(3, None, 10).coeffs == tuple(
         expand_product(range(3, 11), 10)
     )
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("order", [0, 1, 7, 30])
+def test_q_pochhammer_matches_oracle(k, order):
+    assert q_pochhammer(k, None, order).coeffs == tuple(
+        expand_product(range(k, order + 1), order)
+    )
+    assert q_pochhammer(k, 0, order) == one(order)
+    for count in range(1, 6):
+        assert q_pochhammer(k, count, order).coeffs == tuple(
+            expand_product(range(k, k + count), order)
+        )
+
+
+def test_q_pochhammer_first_factor_beyond_order():
+    for count in (None, 0, 1, 4):
+        assert q_pochhammer(9, count, 5) == one(5)
+        assert q_pochhammer(6, count, 5) == one(5)
 
 
 def test_q_pochhammer_rejects_k0():

@@ -84,6 +84,15 @@ def test_pair_multiset_equality_semantics():
     assert a == b and a != c
 
 
+def test_cached_multiset_is_read_only():
+    pm = build_pair_multiset(5, "arm-leg")
+    with pytest.raises(TypeError):
+        pm.counts[(0, 0)] += 1
+    with pytest.raises(TypeError):
+        del pm.counts[(0, 0)]
+    assert verify_theorem1(5).passed
+
+
 # --- the multiset identity --------------------------------------------------
 
 
