@@ -1,8 +1,10 @@
 """Command-line surface: every verifier and generator, machine-readable.
 
 Exit codes: 0 all checks passed (or output produced), 1 a verification
-failed (the discrepancy is printed), 2 usage error.  Results go to
-stdout (or --out PATH); diagnostics go to stderr.
+failed (the discrepancy is printed), 2 usage error (every argument is
+checked before any work starts), 3 internal error (an exception inside a
+verifier or a broken worker pool; one line on stderr, no traceback).
+Results go to stdout (or --out PATH); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -15,12 +17,15 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from hookpart import anatomy, explorer, qseries, statistics
 from hookpart.qseries import VerifyReport
 
-USAGE_ERROR = 2
+INTERNAL_ERROR = 3
+
+# the flags each `verify fact --id` needs, in the order its verifier takes them
+FACT_ARGS = {1: ("a", "k", "trunc"), 2: ("k", "trunc"), 3: ("m", "n"), 4: ("m", "trunc")}
 
 
 def _nonneg(text: str) -> int:
@@ -260,21 +265,25 @@ def _map_ordered(fn: Callable[[int], VerifyReport], items: Sequence[int], jobs: 
     """Apply fn over items, possibly in parallel; results keep input order,
     so the final output is identical for every jobs setting.
 
+    The pool gets one n per task, largest first: the cost of n grows like
+    n * p(n), so the top few n hold most of the work, and starting them
+    first lets the small ones fill in behind them.
+
     Only a pool that cannot be created or started falls back to a serial
     run; an exception raised by fn itself propagates as it is.
     """
     workers = _pool_size(jobs, len(items), os.cpu_count())
     if workers > 1 and len(items) > 3:
-        chunk = max(1, len(items) // (workers * 4))
         with contextlib.ExitStack() as stack:
             try:
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                # map submits every chunk at once, which starts the workers
-                results = pool.map(fn, items, chunksize=chunk)
+                stack.callback(pool.shutdown, cancel_futures=True)  # drop queued tasks if fn raises
+                # submitting starts the workers
+                futures = {n: pool.submit(fn, n) for n in sorted(items, reverse=True)}
             except (OSError, NotImplementedError) as exc:
                 print(f"note: worker pool unavailable ({exc}); running serially", file=sys.stderr)
             else:
-                return list(results)
+                return [futures[n].result() for n in items]
     return [fn(n) for n in items]
 
 
@@ -316,25 +325,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return code
 
 
-def _require(args: argparse.Namespace, names: Iterable[str]) -> None:
-    missing = [name for name in names if getattr(args, name) is None]
-    if missing:
-        flags = ", ".join("--" + name for name in missing)
-        raise ValueError(f"fact {args.fact_id} requires {flags}")
-
-
 def _dispatch_fact(args: argparse.Namespace) -> VerifyReport:
-    if args.fact_id == 1:
-        _require(args, ("a", "k", "trunc"))
-        return qseries.verify_fact1(args.a, args.k, args.trunc)
-    if args.fact_id == 2:
-        _require(args, ("k", "trunc"))
-        return qseries.verify_fact2(args.k, args.trunc)
-    if args.fact_id == 3:
-        _require(args, ("m", "n"))
-        return statistics.verify_fact3(args.m, args.n)
-    _require(args, ("m", "trunc"))
-    return statistics.verify_fact4(args.m, args.trunc)
+    verifier = {
+        1: qseries.verify_fact1,
+        2: qseries.verify_fact2,
+        3: statistics.verify_fact3,
+        4: statistics.verify_fact4,
+    }[args.fact_id]
+    return verifier(*(getattr(args, name) for name in FACT_ARGS[args.fact_id]))
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
@@ -364,11 +362,25 @@ def _cmd_match(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Cross-flag checks argparse cannot express; a failure exits 2."""
+    if args.command != "verify":
+        return
+    if args.check == "fact":
+        missing = [name for name in FACT_ARGS[args.fact_id] if getattr(args, name) is None]
+        if missing:
+            flags = ", ".join("--" + name for name in missing)
+            parser.error(f"fact {args.fact_id} requires {flags}")
+    elif args.check in ("lemma", "anatomy") and args.n_max > args.trunc:
+        parser.error(f"n_max ({args.n_max}) must not exceed the series order ({args.trunc})")
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv, execute one subcommand, and return the process exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_args(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -379,12 +391,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "multiset":
             return _cmd_multiset(args)
         return _cmd_match(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except RuntimeError as exc:  # a verified identity failed to hold
+    except explorer.IdentityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # arguments are valid by now, so this is a bug or a broken pool
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 def main() -> None:

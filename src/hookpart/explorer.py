@@ -25,6 +25,10 @@ class CellRef(NamedTuple):
     col: int
 
 
+class IdentityViolation(RuntimeError):
+    """The pair multiset identity failed for some n, so no matching exists."""
+
+
 @dataclass(frozen=True)
 class Matching:
     """A pairing of every cell (as source) with every cell (as target)
@@ -57,7 +61,7 @@ def canonical_matching(n: int) -> Matching:
         src_group = sources.get(key, [])
         dst_group = targets.get(key, [])
         if len(src_group) != len(dst_group):
-            raise RuntimeError(
+            raise IdentityViolation(
                 f"pair multiset identity violated at n={n}, key={key}: "
                 f"{len(src_group)} arm-left cells vs {len(dst_group)} arm-leg cells"
             )

@@ -7,8 +7,10 @@ checks, refines, and realizes by explicit matchings.  Collapsing the
 pairs through c+d+1 recovers the coarser statement that hook lengths and
 part lengths are equidistributed over the cells.
 
-Pair multisets are stored sparsely as count maps; totals grow as
-n * p(n), so flattened lists are never materialized.
+Both multisets and the hook and part polynomials of n come from one
+cached sweep over the partitions of n: arm-leg and hook are tallied per
+cell, arm-left and part are expanded from row-length multiplicities.
+Pair multisets are sparse count maps, never flattened lists.
 """
 
 from __future__ import annotations
@@ -59,31 +61,38 @@ def _check_pair_stat(stat: str) -> None:
 
 
 @lru_cache(maxsize=None)
-def _pair_multisets(n: int) -> tuple[PairMultiset, PairMultiset]:
-    """One sweep over all cells of all partitions of n, tallying both fillings."""
+def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mapping[int, int]]:
+    """Arm-leg and arm-left multisets, hook and part polynomials of n.
+
+    One pass over the partitions of n.  Arm-leg and hook are tallied per
+    cell.  A row of length L holds exactly the cells (arm, left) =
+    (L-1-j, j), j < L, each of part L, so per row only L is tallied and
+    arm-left and part are expanded from those counts, in O(n^2).  All
+    four results are read-only: callers share these cached objects.
+    """
     width = n
     arm_leg = [0] * (width * width)
-    arm_left = [0] * (width * width)
+    hooks = [0] * (n + 1)
+    rows = [0] * (n + 1)
     for parts in partitions_of(n):
-        if not parts:
-            continue
         conj = conjugate(parts)
         for i, length in enumerate(parts):
-            row = i + 1
-            base = (length - 1) * width
+            rows[length] += 1
+            # cell j of row i+1: arm = length-1-j, leg = conj[j]-(i+1)
+            base = (length - 1) * width - i - 1
+            hook_base = length - i - 1
             for j in range(length):
-                arm_scaled = base - j * width
-                arm_leg[arm_scaled + conj[j] - row] += 1
-                arm_left[arm_scaled + j] += 1
-    out = []
-    for flat in (arm_leg, arm_left):
-        counts = {}
-        for idx, cnt in enumerate(flat):
-            if cnt:
-                counts[divmod(idx, width)] = cnt
-        # read-only view: callers share this cached object
-        out.append(PairMultiset(counts=MappingProxyType(counts)))
-    return out[0], out[1]
+                leg_end = conj[j]
+                arm_leg[base - j * width + leg_end] += 1
+                hooks[hook_base - j + leg_end] += 1
+    leg_pairs = {divmod(idx, width): cnt for idx, cnt in enumerate(arm_leg) if cnt}
+    left_pairs = {(L - 1 - j, j): cnt for L, cnt in enumerate(rows) if cnt for j in range(L)}
+    return (
+        PairMultiset(counts=MappingProxyType(leg_pairs)),
+        PairMultiset(counts=MappingProxyType(left_pairs)),
+        MappingProxyType({e: cnt for e, cnt in enumerate(hooks) if cnt}),
+        MappingProxyType({L: L * cnt for L, cnt in enumerate(rows) if cnt}),
+    )
 
 
 def build_pair_multiset(n: int, stat: str) -> PairMultiset:
@@ -95,8 +104,7 @@ def build_pair_multiset(n: int, stat: str) -> PairMultiset:
     _check_pair_stat(stat)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    pair = _pair_multisets(n)
-    return pair[0] if stat == "arm-leg" else pair[1]
+    return _sweep(n)[0 if stat == "arm-leg" else 1]
 
 
 def verify_theorem1(n: int) -> VerifyReport:
@@ -105,7 +113,7 @@ def verify_theorem1(n: int) -> VerifyReport:
     On failure, reports the lexicographically smallest differing (c, d).
     """
     context = f"theorem1(n={n})"
-    arm_leg, arm_left = _pair_multisets(n)
+    arm_leg, arm_left, _, _ = _sweep(n)
     if arm_leg == arm_left:
         return VerifyReport.success(context)
     keys = sorted(set(arm_leg.counts) | set(arm_left.counts))
@@ -115,26 +123,6 @@ def verify_theorem1(n: int) -> VerifyReport:
         if lhs != rhs:
             return VerifyReport.failure(context, where=key, expected=lhs, actual=rhs)
     raise AssertionError("multisets compared unequal but no differing key found")
-
-
-@lru_cache(maxsize=None)
-def _stat_polys(n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Hook-exponent and part-exponent tallies over all cells, one sweep."""
-    hooks = [0] * (n + 1)
-    parts_tally = [0] * (n + 1)
-    for parts in partitions_of(n):
-        if not parts:
-            continue
-        conj = conjugate(parts)
-        for i, length in enumerate(parts):
-            row = i + 1
-            for j in range(length):
-                hooks[length - j + conj[j] - row] += 1
-            # each of the row's cells contributes the same part exponent
-            parts_tally[length] += length
-    hook_poly = {e: c for e, c in enumerate(hooks) if c}
-    part_poly = {e: c for e, c in enumerate(parts_tally) if c}
-    return hook_poly, part_poly
 
 
 def stat_polynomial(n: int, stat: str) -> dict[int, int]:
@@ -147,8 +135,7 @@ def stat_polynomial(n: int, stat: str) -> dict[int, int]:
         raise ValueError(f"stat must be one of {CELL_STATS}, got {stat!r}")
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    pair = _stat_polys(n)
-    return dict(pair[0] if stat == "hook" else pair[1])
+    return dict(_sweep(n)[2 if stat == "hook" else 3])
 
 
 def _poly_from_pairs(multiset: PairMultiset) -> dict[int, int]:
@@ -165,17 +152,17 @@ def verify_identity1(n: int) -> VerifyReport:
 
     Also checks that each polynomial is the c+d+1 collapse of its pair
     multiset (hook from arm-leg, part from arm-left), which is what makes
-    the pair-multiset identity a refinement of this one.
+    the pair-multiset identity a refinement of this one.  (The hook check
+    compares two per-cell tallies; the part check, the row expansions.)
     """
     context = f"identity1(n={n})"
-    hook_poly, part_poly = _stat_polys(n)
+    arm_leg, arm_left, hook_poly, part_poly = _sweep(n)
     exponents = sorted(set(hook_poly) | set(part_poly))
     for e in exponents:
         lhs = hook_poly.get(e, 0)
         rhs = part_poly.get(e, 0)
         if lhs != rhs:
             return VerifyReport.failure(context, where=e, expected=lhs, actual=rhs)
-    arm_leg, arm_left = _pair_multisets(n)
     for label, poly, collapsed in (
         ("hook-from-arm-leg", hook_poly, _poly_from_pairs(arm_leg)),
         ("part-from-arm-left", part_poly, _poly_from_pairs(arm_left)),

@@ -2,12 +2,14 @@ import csv
 import io
 import json
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from hookpart import cli
+from hookpart import cli, explorer, statistics
 from hookpart.cli import run
-from hookpart.explorer import canonical_matching
+from hookpart.explorer import IdentityViolation, canonical_matching
 from hookpart.qseries import euler_inv
 from hookpart.statistics import build_pair_multiset
 
@@ -75,6 +77,59 @@ def test_unknown_command_is_usage_error(capsys):
     assert invoke(capsys, "verify", "theorem1", "--n-max", "4", "--jobs", "0")[0] == 2
 
 
+def test_anatomy_range_usage_error(capsys):
+    code, _, err = invoke(capsys, *"verify anatomy --c 0 --d 0 --n-max 9 --trunc 5".split())
+    assert code == 2
+    assert "n_max" in err
+
+
+def _zero_division(n):
+    return n // 0
+
+
+def test_verifier_exception_is_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(statistics, "verify_theorem1", _zero_division)
+    code, out, err = invoke(capsys, *"verify theorem1 --n-max 3 --jobs 1".split())
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "internal error: ZeroDivisionError: integer division or modulo by zero"
+    ]
+
+
+def test_value_error_in_verifier_is_internal_error(capsys, monkeypatch):
+    def bad_lemma(*args):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(statistics, "verify_lemma", bad_lemma)
+    code, _, err = invoke(
+        capsys, *"verify lemma --stat arm-leg --c 0 --d 0 --n-max 3 --trunc 10".split()
+    )
+    assert code == 3
+    assert "ValueError: bug" in err
+
+
+def test_broken_pool_is_internal_error(capsys, monkeypatch):
+    def broken(fn, items, jobs):
+        raise BrokenProcessPool("a worker died")
+
+    monkeypatch.setattr(cli, "_map_ordered", broken)
+    code, _, err = invoke(capsys, *"verify identity1 --n-max 5 --jobs 2".split())
+    assert code == 3
+    assert "BrokenProcessPool: a worker died" in err
+
+
+def test_matching_identity_violation_exits_1(capsys, monkeypatch):
+    def violated(n):
+        raise IdentityViolation(f"pair multiset identity violated at n={n}")
+
+    monkeypatch.setattr(explorer, "canonical_matching", violated)
+    code, _, err = invoke(capsys, *"match --n 3".split())
+    assert code == 1
+    assert "identity violated at n=3" in err
+
+
 def test_help_exits_zero(capsys):
     assert invoke(capsys, "--help")[0] == 0
 
@@ -140,10 +195,14 @@ def test_match_json(capsys):
 # --- determinism and file output ----------------------------------------------
 
 
-def test_output_identical_across_jobs(capsys):
-    _, serial, _ = invoke(capsys, *"verify theorem1 --n-max 12 --jobs 1".split())
-    _, parallel, _ = invoke(capsys, *"verify theorem1 --n-max 12 --jobs 2".split())
-    assert serial == parallel
+def test_output_identical_across_jobs(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # use the pool on any host
+    for check in ("theorem1", "identity1"):
+        for fmt in ("text", "json", "csv"):
+            argv = ["verify", check, "--n-max", "12", "--format", fmt]
+            _, serial, _ = invoke(capsys, *argv, "--jobs", "1")
+            _, parallel, _ = invoke(capsys, *argv, "--jobs", "2")
+            assert serial == parallel, (check, fmt)
 
 
 def test_match_output_stable(capsys):
@@ -230,3 +289,44 @@ def test_pool_start_failure_falls_back_to_serial(capsys, monkeypatch):
     monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
     assert cli._map_ordered(str, range(5), jobs=2) == ["0", "1", "2", "3", "4"]
     assert "worker pool unavailable (no semaphores here)" in capsys.readouterr().err
+
+
+def _square(n):
+    return n * n
+
+
+def test_pool_results_keep_input_order(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert cli._map_ordered(_square, range(20), jobs=2) == [n * n for n in range(20)]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs each task at submit, in order."""
+
+    submitted = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+    def submit(self, fn, item):
+        self.submitted.append(item)
+        future = Future()
+        future.set_result(fn(item))
+        return future
+
+
+def test_pool_dispatches_largest_first(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
+    assert cli._map_ordered(str, range(6), jobs=2) == ["0", "1", "2", "3", "4", "5"]
+    assert _RecordingPool.submitted == [5, 4, 3, 2, 1, 0]

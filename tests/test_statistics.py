@@ -1,5 +1,6 @@
 import pytest
 
+from hookpart import statistics
 from hookpart.partitions import cells, count_partitions, partitions_of
 from hookpart.qseries import lemma_rhs
 from hookpart.statistics import (
@@ -136,6 +137,22 @@ def test_identity1_passes(n):
 def test_stat_polynomial_rejects_bad_stat():
     with pytest.raises(ValueError):
         stat_polynomial(3, "arm-leg")
+
+
+def test_each_n_enumerated_once(monkeypatch):
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return partitions_of(n)
+
+    monkeypatch.setattr(statistics, "partitions_of", counting)
+    statistics._sweep.cache_clear()
+    assert verify_theorem1(12).passed
+    assert verify_identity1(12).passed
+    assert stat_polynomial(12, "hook") == slow_stat_poly(12, "hook")
+    assert build_pair_multiset(12, "arm-left").total == 12 * count_partitions(12)
+    assert calls == [12]
 
 
 # --- pair counts vs closed form ----------------------------------------------
