@@ -198,20 +198,25 @@ def _euler_prefix(c: int, d: int, order: int) -> QSeries:
     return make_monomial(c + d + 1, order) * q_pochhammer(1, None, order).invert()
 
 
-def _chain_stage0(c: int, d: int, order: int) -> QSeries:
-    """The raw double sum over corner placements (i, j).
-
-    (q)_{c+d} / ((q)_c (q)_d) * q^(c+d+1)
-        * sum_{i,j} q^(ij + i(c+1) + j(d+1)) / ((q)_i (q)_j)
-    with the quotient prefactor evaluated literally (not via the box
-    recurrence), and each term kept iff its minimal degree fits.
-    """
-    prefactor = (
+def _box_prefactor(c: int, d: int, order: int) -> QSeries:
+    """(q)_{c+d} / ((q)_c (q)_d) * q^(c+d+1), the head of stages 0 and 1,
+    with the quotient evaluated literally (not via the box recurrence)."""
+    return (
         q_pochhammer(1, c + d, order)
         * q_pochhammer(1, c, order).invert()
         * q_pochhammer(1, d, order).invert()
         * make_monomial(c + d + 1, order)
     )
+
+
+def _chain_stage0(c: int, d: int, order: int) -> QSeries:
+    """The raw double sum over corner placements (i, j).
+
+    (q)_{c+d} / ((q)_c (q)_d) * q^(c+d+1)
+        * sum_{i,j} q^(ij + i(c+1) + j(d+1)) / ((q)_i (q)_j)
+    with each term kept iff its minimal degree fits.
+    """
+    prefactor = _box_prefactor(c, d, order)
     base = c + d + 1
     total = zero(order)
     i = 0
@@ -233,12 +238,7 @@ def _chain_stage1(c: int, d: int, order: int) -> QSeries:
 
     same prefactor * sum_i q^(i(c+1)) / ((q)_i (q^(d+i+1))_inf).
     """
-    prefactor = (
-        q_pochhammer(1, c + d, order)
-        * q_pochhammer(1, c, order).invert()
-        * q_pochhammer(1, d, order).invert()
-        * make_monomial(c + d + 1, order)
-    )
+    prefactor = _box_prefactor(c, d, order)
     base = c + d + 1
     total = zero(order)
     i = 0

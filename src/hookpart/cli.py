@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed (or output produced), 1 a verification
 failed (the discrepancy is printed), 2 usage error (every argument is
-checked before any work starts), 3 internal error (an exception inside a
-verifier or a broken worker pool; one line on stderr, no traceback).
+checked before any work starts, including that the --out directory
+exists), 3 internal error (an exception inside a verifier or a broken
+worker pool; one line on stderr, no traceback).
 Results go to stdout (or --out PATH); diagnostics go to stderr.
 """
 
@@ -231,13 +232,13 @@ def _render_multiset(n: int, stat: str, pm: statistics.PairMultiset, fmt: str) -
 
 def _render_matching(matching: explorer.Matching, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(
-            {
-                "n": matching.n,
-                "pairs": [{"src": list(s), "dst": list(t)} for s, t in matching.pairs],
-            },
-            sort_keys=True,
+        # every value is an int, so this is json.dumps(..., sort_keys=True) text
+        pairs = ", ".join(
+            f'{{"dst": [{t.partition_index}, {t.row}, {t.col}], '
+            f'"src": [{s.partition_index}, {s.row}, {s.col}]}}'
+            for s, t in matching.pairs
         )
+        return f'{{"n": {matching.n}, "pairs": [{pairs}]}}'
     if fmt == "csv":
         lines = ["src_partition,src_row,src_col,dst_partition,dst_row,dst_col"]
         lines.extend(
@@ -364,6 +365,10 @@ def _cmd_match(args: argparse.Namespace) -> int:
 
 def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     """Cross-flag checks argparse cannot express; a failure exits 2."""
+    if args.out:
+        directory = os.path.dirname(args.out) or "."
+        if not os.path.isdir(directory):
+            parser.error(f"--out: directory {directory!r} does not exist")
     if args.command != "verify":
         return
     if args.check == "fact":

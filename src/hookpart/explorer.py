@@ -9,6 +9,7 @@ be inspected for patterns, and validates arbitrary candidate matchings.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,33 +42,38 @@ class Matching:
 def canonical_matching(n: int) -> Matching:
     """Build the reference matching for weight n.
 
-    Sources are grouped by their (arm, left) key and targets by their
-    (arm, leg) key; inside each key group both sides are ordered by
-    (partition_index, row, col) and paired off positionally.  The pair
-    list is emitted sorted by source.  Any order inside a group would be
-    valid; fixing this one makes runs diffable.
+    Sources are keyed by (arm, left) and targets by (arm, leg); inside
+    each key the k-th source, in (partition_index, row, col) order, is
+    paired with the k-th target in that order.  Cells are enumerated in
+    exactly that order, so one pass collects the sources already sorted
+    and the targets already grouped, and the pairs come out sorted by
+    source with no sort: O(cells) after enumeration.  Any order inside a
+    group would be valid; fixing this one makes runs diffable.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    sources: dict[tuple[int, int], list[CellRef]] = {}
-    targets: dict[tuple[int, int], list[CellRef]] = {}
+    # arm, left and leg are all below n, so the key (a, b) is coded as the
+    # int a * stride + b: ints sort like the tuples and cost no allocation
+    stride = n + 1
+    sources: list[CellRef] = []
+    source_keys: list[int] = []
+    targets: defaultdict[int, list[CellRef]] = defaultdict(list)
     for index, parts in enumerate(partitions_of(n)):
         for (row, col), stats in cells(parts):
             ref = CellRef(index, row, col)
-            sources.setdefault((stats.arm, stats.left), []).append(ref)
-            targets.setdefault((stats.arm, stats.leg), []).append(ref)
-    pairs: list[tuple[CellRef, CellRef]] = []
-    for key in sorted(set(sources) | set(targets)):
-        src_group = sources.get(key, [])
-        dst_group = targets.get(key, [])
-        if len(src_group) != len(dst_group):
+            sources.append(ref)
+            source_keys.append(stats.arm * stride + stats.left)
+            targets[stats.arm * stride + stats.leg].append(ref)
+    source_counts = Counter(source_keys)
+    for key in sorted(source_counts.keys() | targets.keys()):
+        n_src, n_dst = source_counts[key], len(targets[key])
+        if n_src != n_dst:
             raise IdentityViolation(
-                f"pair multiset identity violated at n={n}, key={key}: "
-                f"{len(src_group)} arm-left cells vs {len(dst_group)} arm-leg cells"
+                f"pair multiset identity violated at n={n}, key={divmod(key, stride)}: "
+                f"{n_src} arm-left cells vs {n_dst} arm-leg cells"
             )
-        pairs.extend(zip(src_group, dst_group))
-    pairs.sort(key=lambda pair: pair[0])
-    return Matching(n=n, pairs=tuple(pairs))
+    next_target = {key: iter(group).__next__ for key, group in targets.items()}
+    return Matching(n=n, pairs=tuple(zip(sources, [next_target[key]() for key in source_keys])))
 
 
 def verify_matching(matching: Matching) -> VerifyReport:

@@ -192,6 +192,17 @@ def test_match_json(capsys):
     assert doc["pairs"][1] == {"src": [0, 1, 2], "dst": [1, 1, 1]}
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_match_json_is_sorted_json_dumps(capsys, n):
+    _, out, _ = invoke(capsys, "match", "--n", str(n), "--format", "json")
+    doc = {
+        "n": n,
+        "pairs": [{"src": list(s), "dst": list(t)} for s, t in canonical_matching(n).pairs],
+    }
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+    assert json.loads(out) == doc
+
+
 # --- determinism and file output ----------------------------------------------
 
 
@@ -213,12 +224,23 @@ def test_match_output_stable(capsys):
 
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "series.csv"
-    code, out, _ = invoke(
-        capsys, *f"series euler-inv --trunc 4 --format csv --out {path}".split()
-    )
+    argv = "series euler-inv --trunc 4 --format csv".split()
+    _, stdout, _ = invoke(capsys, *argv)
+    code, out, _ = invoke(capsys, *argv, "--out", str(path))
     assert code == 0
     assert out == ""
+    assert path.read_text() == stdout
     assert path.read_text().splitlines()[1] == "0,1"
+
+
+def test_out_in_missing_directory_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.txt"
+    code, out, err = invoke(capsys, *f"series euler-inv --trunc 3 --out {path}".split())
+    assert code == 2
+    assert out == ""
+    assert "--out" in err and "does not exist" in err
+    assert "internal error" not in err
+    assert not path.parent.exists()
 
 
 def test_verify_json_document(capsys):

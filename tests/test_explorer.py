@@ -1,6 +1,13 @@
 import pytest
 
-from hookpart.explorer import CellRef, Matching, canonical_matching, verify_matching
+from hookpart import explorer
+from hookpart.explorer import (
+    CellRef,
+    IdentityViolation,
+    Matching,
+    canonical_matching,
+    verify_matching,
+)
 from hookpart.partitions import cells, partitions_of
 from hookpart.statistics import build_pair_multiset
 
@@ -26,6 +33,46 @@ def test_n2_golden():
 def test_canonical_matching_verifies(n):
     report = verify_matching(canonical_matching(n))
     assert report.passed, report
+
+
+def grouped_sorted_matching(n):
+    """The original construction, kept as an oracle: group both sides by
+    key, zip each group in enumeration order, then sort by source."""
+    sources, targets = {}, {}
+    for index, parts in enumerate(partitions_of(n)):
+        for (row, col), stats in cells(parts):
+            ref = CellRef(index, row, col)
+            sources.setdefault((stats.arm, stats.left), []).append(ref)
+            targets.setdefault((stats.arm, stats.leg), []).append(ref)
+    pairs = []
+    for key in sorted(set(sources) | set(targets)):
+        assert len(sources.get(key, [])) == len(targets.get(key, []))
+        pairs.extend(zip(sources.get(key, []), targets.get(key, [])))
+    pairs.sort(key=lambda pair: pair[0])
+    return Matching(n=n, pairs=tuple(pairs))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_matches_grouped_sorted_oracle(n):
+    assert canonical_matching(n) == grouped_sorted_matching(n)
+
+
+def test_identity_violation_names_smallest_key(monkeypatch):
+    # lengthen the leg of cell (1, 1) of (3,), whose (arm, leg) key is
+    # (2, 0): that key loses an arm-leg cell and (2, 1) gains one
+    def shifted_cells(parts):
+        for cell, stats in cells(parts):
+            if parts == (3,) and cell == (1, 1):
+                stats = stats._replace(leg=stats.leg + 1, hook=stats.hook + 1)
+            yield cell, stats
+
+    monkeypatch.setattr(explorer, "cells", shifted_cells)
+    with pytest.raises(IdentityViolation) as excinfo:
+        canonical_matching(3)
+    assert str(excinfo.value) == (
+        "pair multiset identity violated at n=3, key=(2, 0): "
+        "1 arm-left cells vs 0 arm-leg cells"
+    )
 
 
 @pytest.mark.parametrize("n", range(11))
