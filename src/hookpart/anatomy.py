@@ -20,10 +20,12 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from hookpart import statistics
-from hookpart.partitions import partitions_of
+from hookpart.partitions import conjugate, partitions_of
 from hookpart.qseries import (
     QSeries,
     VerifyReport,
+    compare_counts,
+    compare_series,
     gauss_binomial,
     lemma_rhs,
     make_monomial,
@@ -96,41 +98,31 @@ def min_degree(c: int, d: int, i: int, j: int) -> int:
     return c + d + 1 + i * j + i * (c + 1) + j * (d + 1)
 
 
+def _corner_counts(c: int, d: int, n: int) -> dict[tuple[int, int], int]:
+    """Brute counts for every corner at once: how many partitions of n have
+    a cell with arm c and leg d at (i+1, j+1), keyed by (i, j).
+
+    One pass over the partitions of n; a cell's leg is read off the
+    conjugate, the same rule ``partitions.cells`` uses.
+    """
+    counts: dict[tuple[int, int], int] = {}
+    for parts in partitions_of(n):
+        conj = conjugate(parts)
+        for i, length in enumerate(parts):
+            col = length - c
+            if col >= 1 and conj[col - 1] - i - 1 == d:
+                key = (i, col - 1)
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def corner_count_brute(c: int, d: int, i: int, j: int, n: int) -> int:
     """Number of partitions of n whose cell (i+1, j+1) exists and carries
     arm exactly c and leg exactly d, by exhaustive enumeration."""
     _check_corner_args(c, d, i, j)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    row, col = i + 1, j + 1
-    count = 0
-    for parts in partitions_of(n):
-        if len(parts) < row or parts[row - 1] - col != c:
-            continue
-        leg = sum(1 for r in range(row, len(parts)) if parts[r] >= col)
-        if leg == d:
-            count += 1
-    return count
-
-
-def _corner_sweep(c: int, d: int, n_max: int) -> dict[tuple[int, int], list[int]]:
-    """Brute counts for every corner at once: one enumeration pass per n,
-    tallying each cell with arm c and leg d into its (i, j) bucket."""
-    table: dict[tuple[int, int], list[int]] = {}
-    for n in range(n_max + 1):
-        for parts in partitions_of(n):
-            if not parts:
-                continue
-            nrows = len(parts)
-            for r, length in enumerate(parts):
-                col = length - c
-                if col < 1:
-                    continue
-                leg = sum(1 for rr in range(r + 1, nrows) if parts[rr] >= col)
-                if leg == d:
-                    per_n = table.setdefault((r, col - 1), [0] * (n_max + 1))
-                    per_n[n] += 1
-    return table
+    return _corner_counts(c, d, n).get((i, j), 0)
 
 
 def corner_placements(c: int, d: int, n_max: int) -> Iterator[tuple[int, int]]:
@@ -157,35 +149,34 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
     if n_max > order:
         raise ValueError(f"n_max ({n_max}) must not exceed the series order ({order})")
     context = f"anatomy(c={c}, d={d}, n_max={n_max})"
-    brute = _corner_sweep(c, d, n_max)
+    brute = [_corner_counts(c, d, n) for n in range(n_max + 1)]
     placements = list(corner_placements(c, d, n_max))
-    stray = sorted(set(brute) - set(placements))
+    stray = sorted(set().union(*brute) - set(placements))
     if stray:
         i, j = stray[0]
         return VerifyReport.failure(
             context,
             where=("corner-beyond-min-degree", i, j),
             expected=0,
-            actual=sum(brute[(i, j)]),
+            actual=sum(counts.get((i, j), 0) for counts in brute),
         )
     summed = [0] * (n_max + 1)
     for i, j in placements:
         series = anatomy_gf(c, d, i, j, order)
-        counts = brute.get((i, j), [0] * (n_max + 1))
-        for n in range(n_max + 1):
+        for n, counts in enumerate(brute):
             coeff = series.coefficient(n)
-            if coeff != counts[n]:
+            expected = counts.get((i, j), 0)
+            if coeff != expected:
                 return VerifyReport.failure(
-                    context, where=("corner", i, j, n), expected=counts[n], actual=coeff
+                    context, where=("corner", i, j, n), expected=expected, actual=coeff
                 )
             summed[n] += coeff
-    for n in range(n_max + 1):
-        expected = statistics.count_pair(n, c, d, "arm-leg")
-        if summed[n] != expected:
-            return VerifyReport.failure(
-                context, where=("corner-sum", n), expected=expected, actual=summed[n]
-            )
-    return VerifyReport.success(context)
+    return compare_counts(
+        context,
+        {n: statistics.count_pair(n, c, d, "arm-leg") for n in range(n_max + 1)},
+        dict(enumerate(summed)),
+        "corner-sum",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +197,15 @@ def _box_prefactor(c: int, d: int, order: int) -> QSeries:
         * q_pochhammer(1, c, order).invert()
         * q_pochhammer(1, d, order).invert()
         * make_monomial(c + d + 1, order)
+    )
+
+
+def _euler_box_head(c: int, d: int, order: int) -> QSeries:
+    """q^(c+d+1)/(q)_inf * (q)_{c+d}/(q)_c, the head of stages 2 and 3."""
+    return (
+        _euler_prefix(c, d, order)
+        * q_pochhammer(1, c + d, order)
+        * q_pochhammer(1, c, order).invert()
     )
 
 
@@ -259,11 +259,7 @@ def _chain_stage2(c: int, d: int, order: int) -> QSeries:
         * sum_i q^(i(c+1)) (q)_{i+d} / ((q)_d (q)_i)
     where the summand quotient is evaluated literally.
     """
-    prefactor = (
-        _euler_prefix(c, d, order)
-        * q_pochhammer(1, c + d, order)
-        * q_pochhammer(1, c, order).invert()
-    )
+    prefactor = _euler_box_head(c, d, order)
     base = c + d + 1
     total = zero(order)
     i = 0
@@ -283,12 +279,7 @@ def _chain_stage3(c: int, d: int, order: int) -> QSeries:
 
     q^(c+d+1)/(q)_inf * (q)_{c+d} / ((q)_c (q^(c+1))_{d+1}).
     """
-    return (
-        _euler_prefix(c, d, order)
-        * q_pochhammer(1, c + d, order)
-        * q_pochhammer(1, c, order).invert()
-        * q_pochhammer(c + 1, d + 1, order).invert()
-    )
+    return _euler_box_head(c, d, order) * q_pochhammer(c + 1, d + 1, order).invert()
 
 
 def _chain_stage4(c: int, d: int, order: int) -> QSeries:
@@ -311,22 +302,8 @@ def proof_chain(c: int, d: int, order: int) -> VerifyReport:
     context = f"proof_chain(c={c}, d={d}, order={order})"
     stages = [stage(c, d, order) for stage in _CHAIN_STAGES]
     for k in range(len(stages) - 1):
-        lhs, rhs = stages[k], stages[k + 1]
-        for e in range(order + 1):
-            if lhs.coeffs[e] != rhs.coeffs[e]:
-                return VerifyReport.failure(
-                    context,
-                    where=(f"stage{k}=stage{k + 1}", e),
-                    expected=lhs.coeffs[e],
-                    actual=rhs.coeffs[e],
-                )
+        report = compare_series(context, stages[k], stages[k + 1], f"stage{k}=stage{k + 1}")
+        if not report.passed:
+            return report
     closed = lemma_rhs(c, d, order)
-    for e in range(order + 1):
-        if stages[-1].coeffs[e] != closed.coeffs[e]:
-            return VerifyReport.failure(
-                context,
-                where=("stage4=closed-form", e),
-                expected=closed.coeffs[e],
-                actual=stages[-1].coeffs[e],
-            )
-    return VerifyReport.success(context)
+    return compare_series(context, closed, stages[-1], "stage4=closed-form")

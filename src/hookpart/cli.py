@@ -2,9 +2,9 @@
 
 Exit codes: 0 all checks passed (or output produced), 1 a verification
 failed (the discrepancy is printed), 2 usage error (every argument is
-checked before any work starts, including that the --out directory
-exists), 3 internal error (an exception inside a verifier or a broken
-worker pool; one line on stderr, no traceback).
+checked before any work starts, including that --out names a file in an
+existing, writable directory), 3 internal error (an exception inside a
+verifier or a broken worker pool; one line on stderr, no traceback).
 Results go to stdout (or --out PATH); diagnostics go to stderr.
 """
 
@@ -367,8 +367,12 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     """Cross-flag checks argparse cannot express; a failure exits 2."""
     if args.out:
         directory = os.path.dirname(args.out) or "."
+        if os.path.isdir(args.out):
+            parser.error(f"--out: {args.out!r} is a directory, not a file")
         if not os.path.isdir(directory):
             parser.error(f"--out: directory {directory!r} does not exist")
+        if not os.access(directory, os.W_OK):
+            parser.error(f"--out: directory {directory!r} is not writable")
     if args.command != "verify":
         return
     if args.check == "fact":

@@ -109,6 +109,9 @@ def cell_stats(parts: tuple[int, ...], cell: tuple[int, int]) -> CellStats:
         leg  = #{rows r > row with parts[r-1] >= col}
         left = col - 1           (cells to the left)
 
+    This is the reference implementation: it counts the leg by scanning
+    the rows below, literally as defined, where ``cells`` and the sweeps
+    read it off the conjugate; the tests compare ``cells`` against it.
     Raises IndexError if the cell lies outside the diagram.
     """
     row, col = cell

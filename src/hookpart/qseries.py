@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -289,15 +289,34 @@ def lemma_rhs(c: int, d: int, order: int) -> QSeries:
     return marked_row * repeat * euler_inv(order)
 
 
-def compare_series(context: str, expected: QSeries, actual: QSeries) -> VerifyReport:
-    """Coefficient-wise comparison, reporting the smallest failing exponent."""
-    _check_orders(expected, actual)
-    for e in range(expected.order + 1):
-        if expected.coeffs[e] != actual.coeffs[e]:
-            return VerifyReport.failure(
-                context, where=e, expected=expected.coeffs[e], actual=actual.coeffs[e]
-            )
+def compare_counts(
+    context: str,
+    expected: Mapping[Any, int],
+    actual: Mapping[Any, int],
+    label: Optional[str] = None,
+) -> VerifyReport:
+    """Compare two count maps key by key, a missing key counting as 0.
+
+    Reports the smallest key, in sorted order, at which the counts differ:
+    ``where`` is that key, or ``(label, key)`` when a label is given.
+    """
+    for key in sorted(expected.keys() | actual.keys()):
+        lhs, rhs = expected.get(key, 0), actual.get(key, 0)
+        if lhs != rhs:
+            where = key if label is None else (label, key)
+            return VerifyReport.failure(context, where=where, expected=lhs, actual=rhs)
     return VerifyReport.success(context)
+
+
+def compare_series(
+    context: str, expected: QSeries, actual: QSeries, label: Optional[str] = None
+) -> VerifyReport:
+    """Coefficient-wise comparison, reporting the smallest failing exponent
+    (as ``(label, exponent)`` when a label is given)."""
+    _check_orders(expected, actual)
+    return compare_counts(
+        context, dict(enumerate(expected.coeffs)), dict(enumerate(actual.coeffs)), label
+    )
 
 
 def verify_fact1(a: int, k: int, order: int) -> VerifyReport:

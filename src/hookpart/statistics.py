@@ -23,6 +23,7 @@ from typing import Mapping
 from hookpart.partitions import box_gf_brute, conjugate, partitions_of
 from hookpart.qseries import (
     VerifyReport,
+    compare_counts,
     compare_series,
     gauss_binomial,
     lemma_rhs,
@@ -114,15 +115,7 @@ def verify_theorem1(n: int) -> VerifyReport:
     """
     context = f"theorem1(n={n})"
     arm_leg, arm_left, _, _ = _sweep(n)
-    if arm_leg == arm_left:
-        return VerifyReport.success(context)
-    keys = sorted(set(arm_leg.counts) | set(arm_left.counts))
-    for key in keys:
-        lhs = arm_leg.counts.get(key, 0)
-        rhs = arm_left.counts.get(key, 0)
-        if lhs != rhs:
-            return VerifyReport.failure(context, where=key, expected=lhs, actual=rhs)
-    raise AssertionError("multisets compared unequal but no differing key found")
+    return compare_counts(context, arm_leg.counts, arm_left.counts)
 
 
 def stat_polynomial(n: int, stat: str) -> dict[int, int]:
@@ -157,23 +150,14 @@ def verify_identity1(n: int) -> VerifyReport:
     """
     context = f"identity1(n={n})"
     arm_leg, arm_left, hook_poly, part_poly = _sweep(n)
-    exponents = sorted(set(hook_poly) | set(part_poly))
-    for e in exponents:
-        lhs = hook_poly.get(e, 0)
-        rhs = part_poly.get(e, 0)
-        if lhs != rhs:
-            return VerifyReport.failure(context, where=e, expected=lhs, actual=rhs)
-    for label, poly, collapsed in (
+    for label, lhs, rhs in (
+        (None, hook_poly, part_poly),
         ("hook-from-arm-leg", hook_poly, _poly_from_pairs(arm_leg)),
         ("part-from-arm-left", part_poly, _poly_from_pairs(arm_left)),
     ):
-        for e in sorted(set(poly) | set(collapsed)):
-            lhs = poly.get(e, 0)
-            rhs = collapsed.get(e, 0)
-            if lhs != rhs:
-                return VerifyReport.failure(
-                    context, where=(label, e), expected=lhs, actual=rhs
-                )
+        report = compare_counts(context, lhs, rhs, label)
+        if not report.passed:
+            return report
     return VerifyReport.success(context)
 
 
@@ -194,12 +178,11 @@ def verify_lemma(c: int, d: int, stat: str, n_max: int, order: int) -> VerifyRep
         raise ValueError(f"n_max ({n_max}) must not exceed the series order ({order})")
     context = f"lemma(c={c}, d={d}, stat={stat}, n_max={n_max})"
     rhs = lemma_rhs(c, d, order)
-    for n in range(n_max + 1):
-        expected = rhs.coefficient(n)
-        actual = count_pair(n, c, d, stat)
-        if expected != actual:
-            return VerifyReport.failure(context, where=n, expected=expected, actual=actual)
-    return VerifyReport.success(context)
+    return compare_counts(
+        context,
+        {n: rhs.coefficient(n) for n in range(n_max + 1)},
+        {n: count_pair(n, c, d, stat) for n in range(n_max + 1)},
+    )
 
 
 def verify_fact3(m: int, n: int) -> VerifyReport:

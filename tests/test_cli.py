@@ -243,6 +243,15 @@ def test_out_in_missing_directory_is_usage_error(tmp_path, capsys):
     assert not path.parent.exists()
 
 
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys):
+    code, out, err = invoke(capsys, *f"series euler-inv --trunc 3 --out {tmp_path}".split())
+    assert code == 2
+    assert out == ""
+    assert "--out" in err and "is a directory" in err
+    assert "internal error" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_json_document(capsys):
     _, out, _ = invoke(capsys, *"verify theorem1 --n-max 3 --jobs 1 --format json".split())
     doc = json.loads(out)

@@ -6,6 +6,7 @@ from hookpart import partitions
 from hookpart.qseries import (
     QSeries,
     VerifyReport,
+    compare_counts,
     compare_series,
     euler_inv,
     gauss_binomial,
@@ -375,3 +376,16 @@ def test_compare_series_reports_first_exponent():
     assert report.first_discrepancy.where == 2
     assert report.first_discrepancy.expected == 3
     assert report.first_discrepancy.actual == 9
+    labelled = compare_series("demo", a, b, "lhs=rhs")
+    assert labelled.first_discrepancy.where == ("lhs=rhs", 2)
+    assert compare_series("demo", a, a, "lhs=rhs") == VerifyReport.success("demo")
+
+
+def test_compare_counts_reads_missing_keys_as_zero():
+    # (0, 5) is only on the right, (1, 0) only on the left; (0, 5) sorts first
+    report = compare_counts("demo", {(1, 0): 2, (0, 0): 1}, {(0, 0): 1, (0, 5): 4})
+    assert report.first_discrepancy.where == (0, 5)
+    assert (report.first_discrepancy.expected, report.first_discrepancy.actual) == (0, 4)
+    report = compare_counts("demo", {3: 1}, {}, "poly")
+    assert report.first_discrepancy.where == ("poly", 3)
+    assert compare_counts("demo", {1: 2, 4: 0}, {1: 2}).passed
