@@ -126,7 +126,10 @@ def corner_count_brute(c: int, d: int, i: int, j: int, n: int) -> int:
 
 
 def corner_placements(c: int, d: int, n_max: int) -> Iterator[tuple[int, int]]:
-    """All (i, j) whose marked-hook family can contribute weight <= n_max."""
+    """All (i, j) whose marked-hook family can contribute weight <= n_max,
+    i ascending, then j.  The only corner range: ``verify_anatomy`` sums
+    over these placements, and so do chain stages 0-2 with n_max the
+    series order."""
     i = 0
     while min_degree(c, d, i, 0) <= n_max:
         j = 0
@@ -194,8 +197,8 @@ def _box_prefactor(c: int, d: int, order: int) -> QSeries:
     with the quotient evaluated literally (not via the box recurrence)."""
     return (
         q_pochhammer(1, c + d, order)
-        * q_pochhammer(1, c, order).invert()
-        * q_pochhammer(1, d, order).invert()
+        * _at_most_parts_inv(c, order)
+        * _at_most_parts_inv(d, order)
         * make_monomial(c + d + 1, order)
     )
 
@@ -205,73 +208,67 @@ def _euler_box_head(c: int, d: int, order: int) -> QSeries:
     return (
         _euler_prefix(c, d, order)
         * q_pochhammer(1, c + d, order)
-        * q_pochhammer(1, c, order).invert()
+        * _at_most_parts_inv(c, order)
     )
 
 
+def _corner_rows(c: int, d: int, order: int) -> dict[int, list[int]]:
+    """``corner_placements`` up to the series order, as row i -> its j's."""
+    rows: dict[int, list[int]] = {}
+    for i, j in corner_placements(c, d, order):
+        rows.setdefault(i, []).append(j)
+    return rows
+
+
 def _chain_stage0(c: int, d: int, order: int) -> QSeries:
-    """The raw double sum over corner placements (i, j).
+    """The raw double sum over the corner placements (i, j):
 
     (q)_{c+d} / ((q)_c (q)_d) * q^(c+d+1)
-        * sum_{i,j} q^(ij + i(c+1) + j(d+1)) / ((q)_i (q)_j)
-    with each term kept iff its minimal degree fits.
+        * sum_i q^(i(c+1)) / (q)_i * sum_j q^(j(i+d+1)) / (q)_j
+    with the inner sum over j kept explicit, one series per row i.
     """
-    prefactor = _box_prefactor(c, d, order)
-    base = c + d + 1
     total = zero(order)
-    i = 0
-    while base + i * (c + 1) <= order:
-        j = 0
-        while base + i * j + i * (c + 1) + j * (d + 1) <= order:
-            total = total + (
-                make_monomial(i * j + i * (c + 1) + j * (d + 1), order)
-                * _at_most_parts_inv(i, order)
-                * _at_most_parts_inv(j, order)
-            )
-            j += 1
-        i += 1
-    return prefactor * total
+    for i, columns in _corner_rows(c, d, order).items():
+        row = zero(order)
+        for j in columns:
+            row = row + make_monomial(j * (i + d + 1), order) * _at_most_parts_inv(j, order)
+        total = total + make_monomial(i * (c + 1), order) * _at_most_parts_inv(i, order) * row
+    return _box_prefactor(c, d, order) * total
 
 
 def _chain_stage1(c: int, d: int, order: int) -> QSeries:
-    """After collapsing the inner sum over j:
+    """After collapsing the inner sum over j, over the rows i the corner
+    placements reach:
 
     same prefactor * sum_i q^(i(c+1)) / ((q)_i (q^(d+i+1))_inf).
     """
-    prefactor = _box_prefactor(c, d, order)
-    base = c + d + 1
     total = zero(order)
-    i = 0
-    while base + i * (c + 1) <= order:
+    for i in _corner_rows(c, d, order):
         total = total + (
             make_monomial(i * (c + 1), order)
             * _at_most_parts_inv(i, order)
             * q_pochhammer(d + i + 1, None, order).invert()
         )
-        i += 1
-    return prefactor * total
+    return _box_prefactor(c, d, order) * total
 
 
 def _chain_stage2(c: int, d: int, order: int) -> QSeries:
-    """Rearranged single sum with the Euler factor pulled out:
+    """Rearranged single sum with the Euler factor pulled out, over the
+    rows i the corner placements reach:
 
     q^(c+d+1)/(q)_inf * (q)_{c+d}/(q)_c
         * sum_i q^(i(c+1)) (q)_{i+d} / ((q)_d (q)_i)
     where the summand quotient is evaluated literally.
     """
-    prefactor = _euler_box_head(c, d, order)
-    base = c + d + 1
     total = zero(order)
-    i = 0
-    while base + i * (c + 1) <= order:
+    for i in _corner_rows(c, d, order):
         total = total + (
             make_monomial(i * (c + 1), order)
             * q_pochhammer(1, i + d, order)
-            * q_pochhammer(1, d, order).invert()
+            * _at_most_parts_inv(d, order)
             * _at_most_parts_inv(i, order)
         )
-        i += 1
-    return prefactor * total
+    return _euler_box_head(c, d, order) * total
 
 
 def _chain_stage3(c: int, d: int, order: int) -> QSeries:

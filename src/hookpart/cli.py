@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -132,26 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _report_dict(report: VerifyReport) -> dict[str, Any]:
-    entry: dict[str, Any] = {"context": report.context, "passed": report.passed}
-    disc = report.first_discrepancy
-    if disc is None:
-        entry["first_discrepancy"] = None
-    else:
-        entry["first_discrepancy"] = {
-            "where": _jsonable(disc.where),
-            "expected": _jsonable(disc.expected),
-            "actual": _jsonable(disc.actual),
-        }
-    return entry
-
-
 def _render_reports(
     reports: Sequence[VerifyReport], fmt: str, extras: Optional[dict[str, Any]] = None
 ) -> tuple[str, int]:
@@ -160,7 +141,7 @@ def _render_reports(
     if fmt == "json":
         doc: dict[str, Any] = {
             "passed": not failed,
-            "reports": [_report_dict(r) for r in reports],
+            "reports": [dataclasses.asdict(r) for r in reports],
         }
         if extras:
             doc.update(extras)

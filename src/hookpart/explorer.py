@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from hookpart.partitions import cells, partitions_of
-from hookpart.qseries import VerifyReport
+from hookpart.qseries import VerifyReport, compare_counts
 
 
 class CellRef(NamedTuple):
@@ -64,14 +64,14 @@ def canonical_matching(n: int) -> Matching:
             sources.append(ref)
             source_keys.append(stats.arm * stride + stats.left)
             targets[stats.arm * stride + stats.leg].append(ref)
-    source_counts = Counter(source_keys)
-    for key in sorted(source_counts.keys() | targets.keys()):
-        n_src, n_dst = source_counts[key], len(targets[key])
-        if n_src != n_dst:
-            raise IdentityViolation(
-                f"pair multiset identity violated at n={n}, key={divmod(key, stride)}: "
-                f"{n_src} arm-left cells vs {n_dst} arm-leg cells"
-            )
+    target_counts = {key: len(group) for key, group in targets.items()}
+    sizes = compare_counts(f"matching(n={n})", Counter(source_keys), target_counts)
+    if not sizes.passed:
+        disc = sizes.first_discrepancy
+        raise IdentityViolation(
+            f"pair multiset identity violated at n={n}, key={divmod(disc.where, stride)}: "
+            f"{disc.expected} arm-left cells vs {disc.actual} arm-leg cells"
+        )
     next_target = {key: iter(group).__next__ for key, group in targets.items()}
     return Matching(n=n, pairs=tuple(zip(sources, [next_target[key]() for key in source_keys])))
 

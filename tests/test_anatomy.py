@@ -1,8 +1,10 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
 from hookpart.anatomy import (
+    _chain_stage0,
     anatomy_factors,
     anatomy_gf,
     corner_count_brute,
@@ -12,7 +14,7 @@ from hookpart.anatomy import (
     verify_anatomy,
 )
 from hookpart.partitions import conjugate, partitions_of
-from hookpart.qseries import gauss_binomial, lemma_rhs, make_monomial
+from hookpart.qseries import gauss_binomial, lemma_rhs, make_monomial, q_pochhammer, zero
 
 
 def test_gf_goldens():
@@ -119,3 +121,30 @@ def test_proof_chain_order_100():
     # two-term factors, so this stays well under a second
     report = proof_chain(0, 0, 100)
     assert report.passed, report
+
+
+def double_sum_stage0(c, d, order):
+    """The original stage 0, kept as an oracle: one dense summand per
+    corner (i, j), each loop bounded by its own minimal degree."""
+    inv = lru_cache(maxsize=None)(lambda m: q_pochhammer(1, m, order).invert())
+    base = c + d + 1
+    total = zero(order)
+    i = 0
+    while base + i * (c + 1) <= order:
+        j = 0
+        while base + i * j + i * (c + 1) + j * (d + 1) <= order:
+            total = total + (
+                make_monomial(i * j + i * (c + 1) + j * (d + 1), order) * inv(i) * inv(j)
+            )
+            j += 1
+        i += 1
+    return q_pochhammer(1, c + d, order) * inv(c) * inv(d) * make_monomial(base, order) * total
+
+
+@pytest.mark.parametrize(
+    "c,d,order",
+    [(0, 0, 60), (2, 1, 40), (4, 4, 50), (1, 3, 100), (3, 0, 7),
+     (0, 0, 0), (0, 0, 1), (5, 0, 3), (0, 5, 9), (0, 0, 200)],
+)
+def test_stage0_matches_double_sum_oracle(c, d, order):
+    assert _chain_stage0(c, d, order).coeffs == double_sum_stage0(c, d, order).coeffs

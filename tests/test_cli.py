@@ -263,6 +263,7 @@ def test_verify_json_document(capsys):
 def test_failing_report_renders_and_exits_1():
     # the identities hold, so exercise the failure path with a fabricated report
     from hookpart.cli import _render_reports
+    from hookpart.explorer import CellRef
     from hookpart.qseries import VerifyReport
 
     bad = VerifyReport.failure("demo(n=3)", where=(0, 1), expected=4, actual=5)
@@ -275,6 +276,11 @@ def test_failing_report_renders_and_exits_1():
     parsed = json.loads(doc)
     assert parsed["passed"] is False
     assert parsed["reports"][0]["first_discrepancy"]["where"] == [0, 1]
+    where = ("sources", CellRef(0, 1, 2))
+    nested = VerifyReport.failure("demo(n=4)", where=where, expected=1, actual=0)
+    doc, code = _render_reports([nested], "json")
+    assert code == 1
+    assert json.loads(doc)["reports"][0]["first_discrepancy"]["where"] == ["sources", [0, 1, 2]]
     csv_text, code = _render_reports([bad], "csv")
     assert code == 1
     assert csv_text.splitlines()[1].startswith("demo(n=3),false")
