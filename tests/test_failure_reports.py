@@ -8,6 +8,7 @@ comparison code cannot silently change what a failure says.
 import pytest
 
 from hookpart import anatomy, statistics
+from hookpart.explorer import CellRef, Matching, canonical_matching, verify_matching
 from hookpart.qseries import Discrepancy, make_monomial
 from hookpart.statistics import PairMultiset
 
@@ -116,3 +117,34 @@ def test_chain_closed_form_report(monkeypatch):
     monkeypatch.setattr(anatomy, "_CHAIN_STAGES", tuple(map(_shifted, anatomy._CHAIN_STAGES)))
     report = anatomy.proof_chain(2, 1, 20)
     assert_failure(report, "proof_chain(c=2, d=1, order=20)", ("stage4=closed-form", 7), 3, 4)
+
+
+@pytest.mark.parametrize(
+    "fault,where,expected,actual",
+    [
+        (
+            lambda p: [(p[0][0], p[1][1])] + p[1:],
+            ("targets", CellRef(1, 1, 1)),
+            "used once",
+            "duplicated",
+        ),
+        (
+            lambda p: [(CellRef(5, 1, 1), p[0][1])] + p[1:],
+            ("sources", CellRef(5, 1, 1)),
+            "a valid cell",
+            "absent",
+        ),
+        (lambda p: p[:-1], ("sources", CellRef(1, 2, 1)), "used once", "missing"),
+        (
+            lambda p: [(p[0][0], p[1][1]), (p[1][0], p[0][1])] + p[2:],
+            (CellRef(0, 1, 1), CellRef(1, 1, 1)),
+            (1, 0),
+            (0, 1),
+        ),
+    ],
+    ids=["duplicated-target", "absent-source", "missing-source", "swapped-targets"],
+)
+def test_matching_report(fault, where, expected, actual):
+    pairs = fault(list(canonical_matching(2).pairs))
+    report = verify_matching(Matching(n=2, pairs=tuple(pairs)))
+    assert_failure(report, f"matching(n=2, pairs={len(pairs)})", where, expected, actual)
