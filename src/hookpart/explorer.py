@@ -80,38 +80,28 @@ def verify_matching(matching: Matching) -> VerifyReport:
     """Check both matching invariants.
 
     Bijectivity: the sources enumerate every cell of every partition of n
-    exactly once, and so do the targets.  Transport: for every pair, the
-    source's (arm, left) equals the target's (arm, leg).
+    exactly once, and so do the targets.  A failure names the smallest
+    cell, as ``(side, ref)``, that is no cell of n, is used more than once
+    or is never used, with its expected and actual use counts.  Transport:
+    for every pair, the source's (arm, left) equals the target's (arm, leg).
     """
     n = matching.n
     context = f"matching(n={n}, pairs={len(matching.pairs)})"
-    all_partitions = list(partitions_of(n))
     stats_by_ref: dict[CellRef, tuple[int, int, int]] = {}
-    for index, parts in enumerate(all_partitions):
+    for index, parts in enumerate(partitions_of(n)):
         for (row, col), stats in cells(parts):
             stats_by_ref[CellRef(index, row, col)] = (stats.arm, stats.leg, stats.left)
 
-    universe = sorted(stats_by_ref)
-    for side, refs in (
-        ("sources", sorted(pair[0] for pair in matching.pairs)),
-        ("targets", sorted(pair[1] for pair in matching.pairs)),
-    ):
+    universe = list(stats_by_ref)  # enumeration order is sorted CellRef order
+    for column, side in enumerate(("sources", "targets")):
+        refs = sorted(pair[column] for pair in matching.pairs)
         if refs != universe:
-            seen: set[CellRef] = set()
-            for ref in refs:
-                if ref not in stats_by_ref:
-                    return VerifyReport.failure(
-                        context, where=(side, ref), expected="a valid cell", actual="absent"
-                    )
-                if ref in seen:
-                    return VerifyReport.failure(
-                        context, where=(side, ref), expected="used once", actual="duplicated"
-                    )
-                seen.add(ref)
-            missing = next(ref for ref in universe if ref not in seen)
-            return VerifyReport.failure(
-                context, where=(side, missing), expected="used once", actual="missing"
-            )
+            uses = Counter(refs)
+            valid = {ref: int(ref in stats_by_ref) for ref in uses}
+            report = compare_counts(context, valid, uses, side)
+            if report.passed:
+                report = compare_counts(context, dict.fromkeys(universe, 1), uses, side)
+            return report
 
     for src, dst in matching.pairs:
         arm_s, _, left_s = stats_by_ref[src]

@@ -241,36 +241,28 @@ def euler_inv(order: int) -> QSeries:
     return q_pochhammer(1, None, order).invert()
 
 
-@lru_cache(maxsize=None)
-def _gauss_poly(m: int, n: int) -> tuple[int, ...]:
-    """Exact coefficients of the m-by-n box enumerator, degree m*n.
-
-    Built from the cell-at-the-corner recurrence
-    F(m,n) = q^n * F(m-1,n) + F(m,n-1), F(0,n) = F(m,0) = 1,
-    which stays in integers throughout (no division).
-    """
-    if m == 0 or n == 0:
-        return (1,)
-    out = [0] * (m * n + 1)
-    for e, c in enumerate(_gauss_poly(m - 1, n)):
-        out[e + n] += c
-    for e, c in enumerate(_gauss_poly(m, n - 1)):
-        out[e] += c
-    return tuple(out)
-
-
 def gauss_binomial(m: int, n: int, order: int) -> QSeries:
     """Gaussian binomial for the m-by-n box, truncated to the given order.
 
     A polynomial of degree min(m*n, order); equal as a series to
-    (q)_{m+n} / ((q)_m (q)_n), but computed by the box recurrence.
+    (q)_{m+n} / ((q)_m (q)_n), but computed by the cell-at-the-corner
+    recurrence F(a,b) = q^b * F(a-1,b) + F(a,b-1), F(0,b) = F(a,0) = 1,
+    which stays in integers throughout (no division).  One row of boxes
+    F(a, 0..n) is kept at a time, each truncated at the order, so the
+    cost is O(m * n * min(m*n, order)) whatever the box size.
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
-    poly = _gauss_poly(m, n)
-    coeffs = list(poly[: order + 1])
-    coeffs.extend([0] * (order + 1 - len(coeffs)))
-    return QSeries(coeffs)
+    row = [[1] for _ in range(n + 1)]
+    for a in range(1, m + 1):
+        for b in range(1, n + 1):
+            above, left = row[b], row[b - 1]  # F(a-1, b) and F(a, b-1)
+            box = left + [0] * (min(a * b, order) + 1 - len(left))
+            for e in range(b, len(box)):
+                box[e] += above[e - b]
+            row[b] = box
+    coeffs = row[n]
+    return QSeries(coeffs + [0] * (order + 1 - len(coeffs)))
 
 
 def lemma_rhs(c: int, d: int, order: int) -> QSeries:

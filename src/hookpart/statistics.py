@@ -15,7 +15,7 @@ Pair multisets are sparse count maps, never flattened lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
@@ -36,24 +36,19 @@ PAIR_STATS = ("arm-leg", "arm-left")
 CELL_STATS = ("hook", "part")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PairMultiset:
-    """Sparse multiset of (c, d) statistic pairs with a cached total size."""
+    """Sparse multiset of (c, d) statistic pairs."""
 
     counts: Mapping[tuple[int, int], int]
-    total: int = field(default=-1)
 
-    def __post_init__(self) -> None:
-        if self.total < 0:
-            object.__setattr__(self, "total", sum(self.counts.values()))
+    @property
+    def total(self) -> int:
+        """The number of pairs, counted with multiplicity."""
+        return sum(self.counts.values())
 
     def count(self, c: int, d: int) -> int:
         return self.counts.get((c, d), 0)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairMultiset):
-            return NotImplemented
-        return dict(self.counts) == dict(other.counts)
 
 
 def _check_pair_stat(stat: str) -> None:

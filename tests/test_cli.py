@@ -151,6 +151,11 @@ def test_series_json_roundtrip(capsys):
     doc = json.loads(out)
     assert doc["coefficients"][:4] == [0, 1, 2, 4]
     assert doc["order"] == 6
+    # a box far larger than the order: built truncated, without recursion
+    _, out, _ = invoke(capsys, *"series gauss --m 1200 --n 1 --trunc 5 --format json".split())
+    doc = json.loads(out)
+    assert doc["coefficients"] == [1] * 6
+    assert doc["order"] == 5
 
 
 def test_series_gauss_default_order(capsys):

@@ -122,19 +122,9 @@ def test_chain_closed_form_report(monkeypatch):
 @pytest.mark.parametrize(
     "fault,where,expected,actual",
     [
-        (
-            lambda p: [(p[0][0], p[1][1])] + p[1:],
-            ("targets", CellRef(1, 1, 1)),
-            "used once",
-            "duplicated",
-        ),
-        (
-            lambda p: [(CellRef(5, 1, 1), p[0][1])] + p[1:],
-            ("sources", CellRef(5, 1, 1)),
-            "a valid cell",
-            "absent",
-        ),
-        (lambda p: p[:-1], ("sources", CellRef(1, 2, 1)), "used once", "missing"),
+        (lambda p: [(p[0][0], p[1][1])] + p[1:], ("targets", CellRef(1, 1, 1)), 1, 2),
+        (lambda p: [(CellRef(5, 1, 1), p[0][1])] + p[1:], ("sources", CellRef(5, 1, 1)), 0, 1),
+        (lambda p: p[:-1], ("sources", CellRef(1, 2, 1)), 1, 0),
         (
             lambda p: [(p[0][0], p[1][1]), (p[1][0], p[0][1])] + p[2:],
             (CellRef(0, 1, 1), CellRef(1, 1, 1)),

@@ -267,6 +267,28 @@ def test_euler_inv_counts_partitions():
     assert ten.coefficient(10) == len(list(partitions.partitions_of(10))) == 42
 
 
+def gauss_poly_recursive(m, n):
+    """Exact m-by-n box enumerator by the recursive corner recurrence,
+    degree m*n: F(m,n) = q^n * F(m-1,n) + F(m,n-1), F(0,n) = F(m,0) = 1."""
+    if m == 0 or n == 0:
+        return [1]
+    out = [0] * (m * n + 1)
+    for e, c in enumerate(gauss_poly_recursive(m - 1, n)):
+        out[e + n] += c
+    for e, c in enumerate(gauss_poly_recursive(m, n - 1)):
+        out[e] += c
+    return out
+
+
+@pytest.mark.parametrize("m", range(9))
+@pytest.mark.parametrize("n", range(9))
+def test_gauss_binomial_matches_recursive_oracle(m, n):
+    exact = gauss_poly_recursive(m, n)
+    for order in (0, 1, 5, m * n, m * n + 3):
+        expected = (exact + [0] * (order + 1))[: order + 1]
+        assert gauss_binomial(m, n, order).coeffs == tuple(expected), order
+
+
 def test_gauss_binomial_small():
     assert gauss_binomial(0, 5, 0).coeffs == (1,)
     assert gauss_binomial(1, 1, 1).coeffs == (1, 1)

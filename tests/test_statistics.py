@@ -1,3 +1,5 @@
+from types import MappingProxyType
+
 import pytest
 
 from hookpart import statistics
@@ -83,6 +85,9 @@ def test_pair_multiset_equality_semantics():
     b = PairMultiset(counts={(0, 0): 1})
     c = PairMultiset(counts={(0, 0): 2})
     assert a == b and a != c
+    assert a == PairMultiset(counts=MappingProxyType({(0, 0): 1})) and a.total == 1
+    with pytest.raises(TypeError):
+        PairMultiset(counts={(0, 0): 1}, total=7)  # the total is derived, never given
 
 
 def test_cached_multiset_is_read_only():
