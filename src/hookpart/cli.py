@@ -18,7 +18,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Optional, Sequence
 
 from hookpart import anatomy, explorer, qseries, statistics
@@ -252,10 +251,14 @@ def _map_ordered(fn: Callable[[int], VerifyReport], items: Sequence[int], jobs: 
     first lets the small ones fill in behind them.
 
     Only a pool that cannot be created or started falls back to a serial
-    run; an exception raised by fn itself propagates as it is.
+    run; an exception raised by fn itself propagates as it is.  The pool
+    module is imported here, outside the fallback, so that other commands
+    do not pay for loading it and a broken import is an internal error.
     """
     workers = _pool_size(jobs, len(items), os.cpu_count())
     if workers > 1 and len(items) > 3:
+        from concurrent.futures import ProcessPoolExecutor
+
         with contextlib.ExitStack() as stack:
             try:
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))

@@ -142,17 +142,18 @@ def cells(parts: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], CellStats]]
 
 
 def box_partitions(rows: int, width: int) -> Iterator[tuple[int, ...]]:
-    """Yield every partition with at most ``rows`` parts, each <= ``width``."""
+    """Yield every partition with at most ``rows`` parts, each <= ``width``.
 
-    def rec(remaining_rows: int, cap: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        if remaining_rows == 0 or cap == 0:
-            return
-        for first in range(cap, 0, -1):
-            for rest in rec(remaining_rows - 1, first):
-                yield (first,) + rest
-
-    return rec(rows, width)
+    A pre-order walk with an explicit stack, so a tall box (``rows`` in
+    the thousands) needs no recursion: each prefix is yielded, then its
+    extensions by a next part ``first <= cap``, largest ``first`` first.
+    """
+    stack = [((), rows, width)]
+    while stack:
+        prefix, rows_left, cap = stack.pop()
+        yield prefix
+        if rows_left > 0:
+            stack.extend((prefix + (first,), rows_left - 1, first) for first in range(1, cap + 1))
 
 
 def box_gf_brute(m: int, n: int) -> QSeries:

@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import hookpart
 from hookpart import cli, explorer, statistics
 from hookpart.cli import run
 from hookpart.explorer import IdentityViolation, canonical_matching
@@ -56,6 +59,7 @@ def test_fact_dispatch(capsys):
     assert invoke(capsys, *"verify fact --id 1 --a 2 --k 1 --trunc 12".split())[0] == 0
     assert invoke(capsys, *"verify fact --id 2 --k 2 --trunc 10".split())[0] == 0
     assert invoke(capsys, *"verify fact --id 3 --m 2 --n 2".split())[0] == 0
+    assert invoke(capsys, *"verify fact --id 3 --m 1200 --n 1".split())[0] == 0
     assert invoke(capsys, *"verify fact --id 4 --m 2 --trunc 10".split())[0] == 0
 
 
@@ -328,7 +332,7 @@ def test_pool_start_failure_falls_back_to_serial(capsys, monkeypatch):
         raise OSError("no semaphores here")
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
     assert cli._map_ordered(str, range(5), jobs=2) == ["0", "1", "2", "3", "4"]
     assert "worker pool unavailable (no semaphores here)" in capsys.readouterr().err
 
@@ -368,7 +372,22 @@ class _RecordingPool:
 
 def test_pool_dispatches_largest_first(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "submitted", [])
     assert cli._map_ordered(str, range(6), jobs=2) == ["0", "1", "2", "3", "4", "5"]
     assert _RecordingPool.submitted == [5, 4, 3, 2, 1, 0]
+
+
+def test_cli_import_loads_no_pool_modules():
+    # a fresh interpreter: this one has imported concurrent.futures already
+    src = os.path.dirname(os.path.dirname(hookpart.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    script = (
+        "import sys, hookpart.cli; hookpart.cli.build_parser(); "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

@@ -1,3 +1,6 @@
+import gc
+import sys
+
 import pytest
 
 from hookpart import explorer
@@ -147,3 +150,79 @@ def test_duplicate_target_detected():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
         canonical_matching(-1)
+
+
+# --- cyclic GC paused while a matching is built or checked ------------------
+
+
+@pytest.fixture
+def collections_inside():
+    """Names of the functions, canonical_matching or verify_matching, that
+    were running when a collection started.  Judged by the stack, so the
+    one collection that may follow a return does not count."""
+    codes = {
+        getattr(fn, "__wrapped__", fn).__code__ for fn in (canonical_matching, verify_matching)
+    }
+    inside = []
+
+    def record(phase, info):
+        frame = sys._getframe().f_back
+        while phase == "start" and frame is not None:
+            if frame.f_code in codes:
+                inside.append(frame.f_code.co_name)
+                break
+            frame = frame.f_back
+
+    gc.callbacks.append(record)
+    yield inside
+    gc.callbacks.remove(record)
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_state(request):
+    """Start the test with the collector on or off; restore it after."""
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def test_build_and_verify_run_no_collection(collections_inside):
+    assert gc.isenabled()  # else the test shows nothing
+    assert verify_matching(canonical_matching(20)).passed
+    assert collections_inside == []
+
+
+def test_gc_state_restored(gc_state):
+    matching = canonical_matching(6)
+    assert gc.isenabled() is gc_state
+    assert verify_matching(matching).passed
+    assert gc.isenabled() is gc_state
+
+
+def _violating_cells(parts):
+    # one arm-leg cell of (3,) moves from key (2, 0) to (2, 1)
+    for cell, stats in cells(parts):
+        if parts == (3,) and cell == (1, 1):
+            stats = stats._replace(leg=stats.leg + 1, hook=stats.hook + 1)
+        yield cell, stats
+
+
+def _raising_cells(parts):
+    raise IdentityViolation("injected")
+    yield  # pragma: no cover
+
+
+@pytest.mark.parametrize(
+    "call,fault",
+    [
+        (lambda: canonical_matching(3), _violating_cells),
+        (lambda: verify_matching(Matching(n=3, pairs=())), _raising_cells),
+    ],
+    ids=["canonical_matching", "verify_matching"],
+)
+def test_gc_state_restored_when_raising(gc_state, monkeypatch, call, fault):
+    monkeypatch.setattr(explorer, "cells", fault)
+    with pytest.raises(IdentityViolation):
+        call()
+    assert gc.isenabled() is gc_state

@@ -148,6 +148,20 @@ def test_box_partitions_complete():
     assert found == sorted([(), (1,), (2,), (1, 1), (2, 1), (2, 2)])
 
 
+def recursive_box_partitions(rows, cap):
+    yield ()
+    if rows == 0 or cap == 0:
+        return
+    for first in range(cap, 0, -1):
+        for rest in recursive_box_partitions(rows - 1, first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("rows,width", list(itertools.product(range(8), repeat=2)))
+def test_box_partitions_matches_recursive_oracle(rows, width):
+    assert list(box_partitions(rows, width)) == list(recursive_box_partitions(rows, width))
+
+
 def test_box_gf_brute_goldens():
     assert box_gf_brute(0, 5).coeffs == (1,)
     assert box_gf_brute(1, 1).coeffs == (1, 1)
