@@ -20,7 +20,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from hookpart import statistics
-from hookpart.partitions import conjugate, partitions_of
+from hookpart.partitions import partitions_of
 from hookpart.qseries import (
     QSeries,
     VerifyReport,
@@ -102,15 +102,23 @@ def _corner_counts(c: int, d: int, n: int) -> dict[tuple[int, int], int]:
     """Brute counts for every corner at once: how many partitions of n have
     a cell with arm c and leg d at (i+1, j+1), keyed by (i, j).
 
-    One pass over the partitions of n; a cell's leg is read off the
-    conjugate, the same rule ``partitions.cells`` uses.
+    One pass over the partitions of n.  Row i+1's arm-c cell sits in
+    column col = parts[i] - c; its leg is d exactly when row i+d+1 still
+    reaches that column and row i+d+2 is absent or shorter.  Rows only
+    shrink, so the scan of a partition stops at the first row too short
+    to hold an arm of c.
     """
     counts: dict[tuple[int, int], int] = {}
     for parts in partitions_of(n):
-        conj = conjugate(parts)
+        height = len(parts)
         for i, length in enumerate(parts):
             col = length - c
-            if col >= 1 and conj[col - 1] - i - 1 == d:
+            if col < 1:
+                break
+            last = i + d
+            if last < height and parts[last] >= col and (
+                last + 1 == height or parts[last + 1] < col
+            ):
                 key = (i, col - 1)
                 counts[key] = counts.get(key, 0) + 1
     return counts

@@ -110,8 +110,9 @@ def cell_stats(parts: tuple[int, ...], cell: tuple[int, int]) -> CellStats:
         left = col - 1           (cells to the left)
 
     This is the reference implementation: it counts the leg by scanning
-    the rows below, literally as defined, where ``cells`` and the sweeps
-    read it off the conjugate; the tests compare ``cells`` against it.
+    the rows below, literally as defined, where ``cells`` and the
+    statistics sweep read it off the conjugate; the tests compare
+    ``cells`` against it.
     Raises IndexError if the cell lies outside the diagram.
     """
     row, col = cell

@@ -8,9 +8,13 @@ pairs through c+d+1 recovers the coarser statement that hook lengths and
 part lengths are equidistributed over the cells.
 
 Both multisets and the hook and part polynomials of n come from one
-cached sweep over the partitions of n: arm-leg and hook are tallied per
-cell, arm-left and part are expanded from row-length multiplicities.
-Pair multisets are sparse count maps, never flattened lists.
+cached sweep over the partitions of n.  Arm-left and part are expanded
+from row-length multiplicities, read from every row of every partition.
+Arm-leg and hook are tallied per cell, for one partition of each
+conjugate pair only: transposing a diagram swaps every cell's arm and
+leg and keeps its hook, so the skipped member's tally is the transpose
+of the tallied one's.  Pair multisets are sparse count maps, never
+flattened lists.
 """
 
 from __future__ import annotations
@@ -60,28 +64,61 @@ def _check_pair_stat(stat: str) -> None:
 def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mapping[int, int]]:
     """Arm-leg and arm-left multisets, hook and part polynomials of n.
 
-    One pass over the partitions of n.  Arm-leg and hook are tallied per
-    cell.  A row of length L holds exactly the cells (arm, left) =
-    (L-1-j, j), j < L, each of part L, so per row only L is tallied and
-    arm-left and part are expanded from those counts, in O(n^2).  All
-    four results are read-only: callers share these cached objects.
+    One pass over the partitions of n.  A row of length L holds exactly
+    the cells (arm, left) = (L-1-j, j), j < L, each of part L, so per row
+    only L is tallied, over every row of every partition, and arm-left
+    and part are expanded from those counts, in O(n^2).
+
+    Arm-leg and hook are tallied per cell, for one partition of each
+    conjugate pair {lambda, lambda'}.  Conjugation maps cell (i, j) of
+    lambda to cell (j, i) of lambda', arm and leg swapped, hook kept, so
+    the pair contributes T + T^t to arm-leg and twice its hooks, where T
+    and the hooks are lambda's alone.  A partition whose first part
+    exceeds its length is skipped before its conjugate is built: the
+    conjugate's first part is smaller than its length, and it is
+    tallied instead.  When the first part equals the length, the
+    conjugate's does too, so of two such distinct conjugates the larger
+    tuple is skipped.  A self-conjugate partition is its own pair and
+    goes to a table of weight one.  The tables are folded once at the
+    end, in O(n^2).  All four results are read-only: callers share
+    these cached objects.
     """
     width = n
-    arm_leg = [0] * (width * width)
-    hooks = [0] * (n + 1)
+    # pair_*: one member of each pair of distinct conjugates; self_*: self-conjugates
+    pair_arm_leg = [0] * (width * width)
+    self_arm_leg = [0] * (width * width)
+    pair_hooks = [0] * (n + 1)
+    self_hooks = [0] * (n + 1)
     rows = [0] * (n + 1)
     for parts in partitions_of(n):
-        conj = conjugate(parts)
-        for i, length in enumerate(parts):
+        for length in parts:
             rows[length] += 1
+        height = len(parts)
+        if not parts or parts[0] > height:
+            continue
+        conj = conjugate(parts)
+        leg_table, hook_table = pair_arm_leg, pair_hooks
+        if parts[0] == height:
+            if conj == parts:
+                leg_table, hook_table = self_arm_leg, self_hooks
+            elif conj < parts:
+                continue
+        for i, length in enumerate(parts):
             # cell j of row i+1: arm = length-1-j, leg = conj[j]-(i+1)
             base = (length - 1) * width - i - 1
             hook_base = length - i - 1
             for j in range(length):
                 leg_end = conj[j]
-                arm_leg[base - j * width + leg_end] += 1
-                hooks[hook_base - j + leg_end] += 1
-    leg_pairs = {divmod(idx, width): cnt for idx, cnt in enumerate(arm_leg) if cnt}
+                leg_table[base - j * width + leg_end] += 1
+                hook_table[hook_base - j + leg_end] += 1
+    leg_pairs = {}
+    for c in range(width):
+        for d in range(width):
+            idx = c * width + d
+            cnt = pair_arm_leg[idx] + pair_arm_leg[d * width + c] + self_arm_leg[idx]
+            if cnt:
+                leg_pairs[(c, d)] = cnt
+    hooks = [2 * cnt + self_cnt for cnt, self_cnt in zip(pair_hooks, self_hooks)]
     left_pairs = {(L - 1 - j, j): cnt for L, cnt in enumerate(rows) if cnt for j in range(L)}
     return (
         PairMultiset(counts=MappingProxyType(leg_pairs)),

@@ -5,6 +5,7 @@ import pytest
 
 from hookpart.anatomy import (
     _chain_stage0,
+    _corner_counts,
     anatomy_factors,
     anatomy_gf,
     corner_count_brute,
@@ -13,7 +14,7 @@ from hookpart.anatomy import (
     proof_chain,
     verify_anatomy,
 )
-from hookpart.partitions import conjugate, partitions_of
+from hookpart.partitions import cell_stats, conjugate, partitions_of
 from hookpart.qseries import gauss_binomial, lemma_rhs, make_monomial, q_pochhammer, zero
 
 
@@ -60,6 +61,25 @@ def slow_corner_count(c, d, i, j, n):
         if parts[row - 1] - col == c and conj[col - 1] - row == d:
             hits += 1
     return hits
+
+
+def cell_stats_corner_counts(c, d, n):
+    """Third oracle: every cell's statistics by the literal definition."""
+    counts = {}
+    for parts in partitions_of(n):
+        for row, length in enumerate(parts, 1):
+            for col in range(1, length + 1):
+                stats = cell_stats(parts, (row, col))
+                if (stats.arm, stats.leg) == (c, d):
+                    key = (row - 1, col - 1)
+                    counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("c,d", list(itertools.product(range(4), repeat=2)))
+def test_corner_counts_match_cell_stats(c, d):
+    for n in range(13):
+        assert _corner_counts(c, d, n) == cell_stats_corner_counts(c, d, n), n
 
 
 @pytest.mark.parametrize("c,d", list(itertools.product(range(3), repeat=2)))

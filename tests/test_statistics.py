@@ -53,7 +53,10 @@ def test_multiset_empty_at_zero():
         assert dict(pm.counts) == {} and pm.total == 0
 
 
-@pytest.mark.parametrize("n", range(13))
+# n <= 24 holds many conjugate twins whose first part equals their length,
+# e.g. (3,3,1) and (3,2,2), and self-conjugate partitions: the cases the
+# sweep's pairing treats apart
+@pytest.mark.parametrize("n", range(25))
 @pytest.mark.parametrize("stat", ["arm-leg", "arm-left"])
 def test_multiset_matches_slow_oracle(n, stat):
     assert dict(build_pair_multiset(n, stat).counts) == slow_pair_counts(n, stat)
@@ -110,10 +113,11 @@ def test_theorem1_passes(n):
 
 @pytest.mark.parametrize("n", range(13))
 def test_arm_leg_multiset_symmetric(n):
-    # conjugation swaps arm and leg, so (c,d) and (d,c) counts agree
-    pm = build_pair_multiset(n, "arm-leg")
-    for (c, d), count in pm.counts.items():
-        assert pm.count(d, c) == count
+    # conjugation swaps arm and leg, so (c,d) and (d,c) counts agree; the
+    # sweep is symmetric by construction, so check the per-cell oracle
+    counts = slow_pair_counts(n, "arm-leg")
+    for (c, d), count in counts.items():
+        assert counts.get((d, c)) == count
 
 
 # --- stat polynomials --------------------------------------------------------
@@ -127,7 +131,7 @@ def test_stat_polynomial_goldens():
     assert stat_polynomial(0, "hook") == {}
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(25))
 def test_stat_polynomial_matches_slow_oracle(n):
     assert stat_polynomial(n, "hook") == slow_stat_poly(n, "hook")
     assert stat_polynomial(n, "part") == slow_stat_poly(n, "part")
