@@ -15,10 +15,11 @@ import contextlib
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from hookpart import anatomy, explorer, qseries, statistics
 from hookpart.qseries import VerifyReport
@@ -210,26 +211,28 @@ def _render_multiset(n: int, stat: str, pm: statistics.PairMultiset, fmt: str) -
     return "\n".join(lines)
 
 
+def _joined(sep: str, rows: Iterable[str]) -> str:
+    """``sep.join(rows)``, joined 4096 rows at a time: only one batch of
+    row strs is alive at once, not one str per row of the whole output."""
+    rows = iter(rows)
+    batches = []
+    while batch := list(itertools.islice(rows, 4096)):
+        batches.append(sep.join(batch))
+    return sep.join(batches)
+
+
 def _render_matching(matching: explorer.Matching, fmt: str) -> str:
+    # one %-template per format over the six ints of the joined refs
     if fmt == "json":
         # every value is an int, so this is json.dumps(..., sort_keys=True) text
-        pairs = ", ".join(
-            f'{{"dst": [{t.partition_index}, {t.row}, {t.col}], '
-            f'"src": [{s.partition_index}, {s.row}, {s.col}]}}'
-            for s, t in matching.pairs
-        )
+        template = '{"dst": [%s, %s, %s], "src": [%s, %s, %s]}'
+        pairs = _joined(", ", map(template.__mod__, (dst + src for src, dst in matching.pairs)))
         return f'{{"n": {matching.n}, "pairs": [{pairs}]}}'
+    rows = (src + dst for src, dst in matching.pairs)
     if fmt == "csv":
-        lines = ["src_partition,src_row,src_col,dst_partition,dst_row,dst_col"]
-        lines.extend(
-            f"{s.partition_index},{s.row},{s.col},{t.partition_index},{t.row},{t.col}"
-            for s, t in matching.pairs
-        )
-        return "\n".join(lines)
-    return "\n".join(
-        f"({s.partition_index},{s.row},{s.col}) -> ({t.partition_index},{t.row},{t.col})"
-        for s, t in matching.pairs
-    )
+        header = "src_partition,src_row,src_col,dst_partition,dst_row,dst_col"
+        return _joined("\n", itertools.chain([header], map("%s,%s,%s,%s,%s,%s".__mod__, rows)))
+    return _joined("\n", map("(%s,%s,%s) -> (%s,%s,%s)".__mod__, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +344,7 @@ def _cmd_multiset(args: argparse.Namespace) -> int:
     return 0
 
 
+@explorer._without_cyclic_gc  # one pause over build, render and emit
 def _cmd_match(args: argparse.Namespace) -> int:
     matching = explorer.canonical_matching(args.n)
     _emit(_render_matching(matching, args.format), args.out)

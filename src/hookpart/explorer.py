@@ -56,6 +56,13 @@ def _without_cyclic_gc(fn: Callable[_P, _R]) -> Callable[_P, _R]:
     In place of the hundreds of collections that would run during a build
     and reclaim nothing, the collector's next run, after fn returns,
     traverses the survivors once.
+
+    ``cli._cmd_match`` is wrapped too, so that one pause spans build,
+    render and emit, and that next run comes after the matching is
+    freed, not in rendering.  Rendering is safe inside the pause: it makes
+    only strs, which the collector does not track, and temporaries that
+    reference counting frees.  Nested pauses are safe, since each restores
+    the state it found.
     """
 
     @functools.wraps(fn)
@@ -93,7 +100,8 @@ def canonical_matching(n: int) -> Matching:
     targets: defaultdict[int, list[CellRef]] = defaultdict(list)
     for index, parts in enumerate(partitions_of(n)):
         for (row, col), stats in cells(parts):
-            ref = CellRef(index, row, col)
+            # CellRef's own __new__ is a Python-level wrapper around this call
+            ref = tuple.__new__(CellRef, (index, row, col))
             sources.append(ref)
             source_keys.append(stats.arm * stride + stats.left)
             targets[stats.arm * stride + stats.leg].append(ref)
@@ -124,7 +132,8 @@ def verify_matching(matching: Matching) -> VerifyReport:
     stats_by_ref: dict[CellRef, tuple[int, int, int]] = {}
     for index, parts in enumerate(partitions_of(n)):
         for (row, col), stats in cells(parts):
-            stats_by_ref[CellRef(index, row, col)] = (stats.arm, stats.leg, stats.left)
+            ref = tuple.__new__(CellRef, (index, row, col))
+            stats_by_ref[ref] = (stats.arm, stats.leg, stats.left)
 
     universe = list(stats_by_ref)  # enumeration order is sorted CellRef order
     for column, side in enumerate(("sources", "targets")):

@@ -128,7 +128,12 @@ def cell_stats(parts: tuple[int, ...], cell: tuple[int, int]) -> CellStats:
 
 
 def cells(parts: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], CellStats]]:
-    """All cells of ``parts`` in row-major order, with their statistics."""
+    """All cells of ``parts`` in row-major order, with their statistics.
+
+    Each record is built positionally, ``tuple.__new__(CellStats, ...)``,
+    in field order (arm, leg, left, hook, part): the same ``CellStats``
+    at about half the cost of the keyword constructor.
+    """
     if not parts:
         return
     conj = conjugate(parts)
@@ -137,9 +142,7 @@ def cells(parts: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], CellStats]]
         for col in range(1, length + 1):
             arm = length - col
             leg = conj[col - 1] - row
-            yield (row, col), CellStats(
-                arm=arm, leg=leg, left=col - 1, hook=arm + leg + 1, part=length
-            )
+            yield (row, col), tuple.__new__(CellStats, (arm, leg, col - 1, arm + leg + 1, length))
 
 
 def box_partitions(rows: int, width: int) -> Iterator[tuple[int, ...]]:

@@ -201,15 +201,25 @@ def test_match_json(capsys):
     assert doc["pairs"][1] == {"src": [0, 1, 2], "dst": [1, 1, 1]}
 
 
-@pytest.mark.parametrize("n", range(11))
+@pytest.mark.parametrize("n", [*range(11), 20])  # 12540 pairs: several 4096-row batches
 def test_match_json_is_sorted_json_dumps(capsys, n):
+    """Each format, byte for byte, against a reference built another way."""
+    pairs = canonical_matching(n).pairs
     _, out, _ = invoke(capsys, "match", "--n", str(n), "--format", "json")
-    doc = {
-        "n": n,
-        "pairs": [{"src": list(s), "dst": list(t)} for s, t in canonical_matching(n).pairs],
-    }
+    doc = {"n": n, "pairs": [{"src": list(s), "dst": list(t)} for s, t in pairs]}
     assert out == json.dumps(doc, sort_keys=True) + "\n"
     assert json.loads(out) == doc
+
+    _, out, _ = invoke(capsys, "match", "--n", str(n), "--format", "csv")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["src_partition", "src_row", "src_col", "dst_partition", "dst_row", "dst_col"])
+    writer.writerows([*s, *t] for s, t in pairs)
+    assert out == buffer.getvalue()
+
+    _, out, _ = invoke(capsys, "match", "--n", str(n), "--format", "text")
+    lines = [f"({','.join(map(str, s))}) -> ({','.join(map(str, t))})" for s, t in pairs]
+    assert out == "\n".join(lines) + "\n"
 
 
 # --- determinism and file output ----------------------------------------------

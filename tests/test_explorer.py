@@ -1,9 +1,10 @@
+import argparse
 import gc
 import sys
 
 import pytest
 
-from hookpart import explorer
+from hookpart import cli, explorer
 from hookpart.explorer import (
     CellRef,
     IdentityViolation,
@@ -91,6 +92,7 @@ def test_every_cell_used_once_per_side(n):
         for index, parts in enumerate(partitions_of(n))
         for (row, col), _ in cells(parts)
     )
+    assert all(type(src) is CellRef and type(dst) is CellRef for src, dst in matching.pairs)
     assert sorted(src for src, _ in matching.pairs) == universe
     assert sorted(dst for _, dst in matching.pairs) == universe
     assert len(matching.pairs) == len(universe)
@@ -157,11 +159,13 @@ def test_negative_weight_rejected():
 
 @pytest.fixture
 def collections_inside():
-    """Names of the functions, canonical_matching or verify_matching, that
-    were running when a collection started.  Judged by the stack, so the
-    one collection that may follow a return does not count."""
+    """Names of the functions, canonical_matching, verify_matching or
+    cli._cmd_match, that were running when a collection started.  Judged by
+    the stack, so the one collection that may follow a return does not
+    count."""
     codes = {
-        getattr(fn, "__wrapped__", fn).__code__ for fn in (canonical_matching, verify_matching)
+        getattr(fn, "__wrapped__", fn).__code__
+        for fn in (canonical_matching, verify_matching, cli._cmd_match)
     }
     inside = []
 
@@ -187,16 +191,25 @@ def gc_state(request):
     (gc.enable if was_enabled else gc.disable)()
 
 
-def test_build_and_verify_run_no_collection(collections_inside):
+def match_args(n):
+    return argparse.Namespace(n=n, format="csv", out=None)
+
+
+def test_build_and_verify_run_no_collection(collections_inside, capsys):
     assert gc.isenabled()  # else the test shows nothing
     assert verify_matching(canonical_matching(20)).passed
+    for fmt in ("text", "csv", "json"):
+        assert cli.run(["match", "--n", "20", "--format", fmt]) == 0
+        assert capsys.readouterr().out
     assert collections_inside == []
 
 
-def test_gc_state_restored(gc_state):
+def test_gc_state_restored(gc_state, capsys):
     matching = canonical_matching(6)
     assert gc.isenabled() is gc_state
     assert verify_matching(matching).passed
+    assert gc.isenabled() is gc_state
+    assert cli._cmd_match(match_args(6)) == 0
     assert gc.isenabled() is gc_state
 
 
@@ -213,16 +226,21 @@ def _raising_cells(parts):
     yield  # pragma: no cover
 
 
+def _raising_render(matching, fmt):
+    raise IdentityViolation("injected")
+
+
 @pytest.mark.parametrize(
-    "call,fault",
+    "call,module,name,fault",
     [
-        (lambda: canonical_matching(3), _violating_cells),
-        (lambda: verify_matching(Matching(n=3, pairs=())), _raising_cells),
+        (lambda: canonical_matching(3), explorer, "cells", _violating_cells),
+        (lambda: verify_matching(Matching(n=3, pairs=())), explorer, "cells", _raising_cells),
+        (lambda: cli._cmd_match(match_args(3)), cli, "_render_matching", _raising_render),
     ],
-    ids=["canonical_matching", "verify_matching"],
+    ids=["canonical_matching", "verify_matching", "_cmd_match"],
 )
-def test_gc_state_restored_when_raising(gc_state, monkeypatch, call, fault):
-    monkeypatch.setattr(explorer, "cells", fault)
+def test_gc_state_restored_when_raising(gc_state, monkeypatch, call, module, name, fault):
+    monkeypatch.setattr(module, name, fault)
     with pytest.raises(IdentityViolation):
         call()
     assert gc.isenabled() is gc_state

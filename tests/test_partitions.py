@@ -120,7 +120,8 @@ def test_definitional_invariants(n):
         listed = list(cells(parts))
         assert len(listed) == n
         for (row, col), stats in listed:
-            assert stats == cell_stats(parts, (row, col))
+            assert type(stats) is CellStats  # built positionally, still the named type
+            assert stats._asdict() == cell_stats(parts, (row, col))._asdict()
             assert stats.hook == stats.arm + stats.leg + 1
             assert stats.part == stats.arm + stats.left + 1
             assert stats.part == parts[row - 1]
