@@ -249,14 +249,17 @@ def _chain_stage1(c: int, d: int, order: int) -> QSeries:
     placements reach:
 
     same prefactor * sum_i q^(i(c+1)) / ((q)_i (q^(d+i+1))_inf).
+
+    The tail 1/(q^(d+i+1))_inf is inverted once, for row 0; each later
+    row multiplies the previous row's tail by the two-term factor
+    (1 - q^(d+i)), in O(order), since (q^(d+i))_inf = (1 - q^(d+i)) (q^(d+i+1))_inf.
     """
     total = zero(order)
+    tail = q_pochhammer(d + 1, None, order).invert()
     for i in _corner_rows(c, d, order):
-        total = total + (
-            make_monomial(i * (c + 1), order)
-            * _at_most_parts_inv(i, order)
-            * q_pochhammer(d + i + 1, None, order).invert()
-        )
+        if i:
+            tail = (one(order) - make_monomial(d + i, order)) * tail
+        total = total + make_monomial(i * (c + 1), order) * _at_most_parts_inv(i, order) * tail
     return _box_prefactor(c, d, order) * total
 
 

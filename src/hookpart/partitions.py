@@ -13,9 +13,6 @@ from typing import Iterator, NamedTuple
 
 from hookpart.qseries import QSeries
 
-Partition = tuple  # weakly decreasing positive ints
-Cell = tuple       # (row, col), both 1-based
-
 
 class CellStats(NamedTuple):
     """The five statistics of one cell in a Ferrers diagram.

@@ -9,7 +9,9 @@ part lengths are equidistributed over the cells.
 
 Both multisets and the hook and part polynomials of n come from one
 cached sweep over the partitions of n.  Arm-left and part are expanded
-from row-length multiplicities, read from every row of every partition.
+from row-length multiplicities, read from every row of every partition;
+the same row tally, run alone with no per-cell work, gives the arm-left
+multiset to ``build_pair_multiset`` and the lemma check.
 Arm-leg and hook are tallied per cell, for one partition of each
 conjugate pair only: transposing a diagram swaps every cell's arm and
 leg and keeps its hook, so the skipped member's tally is the transpose
@@ -19,10 +21,11 @@ flattened lists.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from hookpart.partitions import box_gf_brute, conjugate, partitions_of
 from hookpart.qseries import (
@@ -60,14 +63,50 @@ def _check_pair_stat(stat: str) -> None:
         raise ValueError(f"stat must be one of {PAIR_STATS}, got {stat!r}")
 
 
+def _rows_tallied(n: int, rows: list[int]) -> Iterator[tuple[int, ...]]:
+    """Yield every partition of n, after adding its row lengths to ``rows``.
+
+    The only row-length loop: ``_sweep`` iterates it and ``_row_sweep``
+    drains it, so arm-left and part are enumerated in one place.
+    """
+    for parts in partitions_of(n):
+        for length in parts:
+            rows[length] += 1
+        yield parts
+
+
+def _expand_rows(rows: list[int]) -> tuple[PairMultiset, Mapping[int, int]]:
+    """Arm-left multiset and part polynomial from row-length counts.
+
+    A row of length L holds exactly the cells (arm, left) = (L-1-j, j),
+    j < L, each of part L, so both follow from the counts in O(n^2).
+    """
+    left_pairs = {(L - 1 - j, j): cnt for L, cnt in enumerate(rows) if cnt for j in range(L)}
+    return (
+        PairMultiset(counts=MappingProxyType(left_pairs)),
+        MappingProxyType({L: L * cnt for L, cnt in enumerate(rows) if cnt}),
+    )
+
+
+@lru_cache(maxsize=None)
+def _row_sweep(n: int) -> PairMultiset:
+    """The arm-left multiset of n from row lengths alone.
+
+    Drains ``_rows_tallied``: no conjugate is built and no cell visited.
+    Read-only and shared, like ``_sweep``'s results.
+    """
+    rows = [0] * (n + 1)
+    deque(_rows_tallied(n, rows), maxlen=0)
+    return _expand_rows(rows)[0]
+
+
 @lru_cache(maxsize=None)
 def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mapping[int, int]]:
     """Arm-leg and arm-left multisets, hook and part polynomials of n.
 
-    One pass over the partitions of n.  A row of length L holds exactly
-    the cells (arm, left) = (L-1-j, j), j < L, each of part L, so per row
-    only L is tallied, over every row of every partition, and arm-left
-    and part are expanded from those counts, in O(n^2).
+    One pass over the partitions of n, through ``_rows_tallied``: it
+    counts the row lengths of every partition as it yields it, and arm-left
+    and part are expanded from those counts by ``_expand_rows``.
 
     Arm-leg and hook are tallied per cell, for one partition of each
     conjugate pair {lambda, lambda'}.  Conjugation maps cell (i, j) of
@@ -90,9 +129,7 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
     pair_hooks = [0] * (n + 1)
     self_hooks = [0] * (n + 1)
     rows = [0] * (n + 1)
-    for parts in partitions_of(n):
-        for length in parts:
-            rows[length] += 1
+    for parts in _rows_tallied(n, rows):
         height = len(parts)
         if not parts or parts[0] > height:
             continue
@@ -119,12 +156,12 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
             if cnt:
                 leg_pairs[(c, d)] = cnt
     hooks = [2 * cnt + self_cnt for cnt, self_cnt in zip(pair_hooks, self_hooks)]
-    left_pairs = {(L - 1 - j, j): cnt for L, cnt in enumerate(rows) if cnt for j in range(L)}
+    arm_left, part_poly = _expand_rows(rows)
     return (
         PairMultiset(counts=MappingProxyType(leg_pairs)),
-        PairMultiset(counts=MappingProxyType(left_pairs)),
+        arm_left,
         MappingProxyType({e: cnt for e, cnt in enumerate(hooks) if cnt}),
-        MappingProxyType({L: L * cnt for L, cnt in enumerate(rows) if cnt}),
+        part_poly,
     )
 
 
@@ -132,12 +169,13 @@ def build_pair_multiset(n: int, stat: str) -> PairMultiset:
     """The multiset of (arm, leg) or (arm, left) pairs over all cells of
     all partitions of n.
 
-    ``stat`` selects the filling: "arm-leg" or "arm-left".
+    ``stat`` selects the filling: "arm-leg" or "arm-left".  Arm-left
+    reads the row-only tally; arm-leg, the full sweep.
     """
     _check_pair_stat(stat)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    return _sweep(n)[0 if stat == "arm-leg" else 1]
+    return _sweep(n)[0] if stat == "arm-leg" else _row_sweep(n)
 
 
 def verify_theorem1(n: int) -> VerifyReport:
@@ -247,29 +285,23 @@ def verify_fact4(m: int, order: int) -> VerifyReport:
     """Check the parts-bounded-by-m enumerator against 1/(q)_m.
 
     For each n <= order, the number of partitions of n with every part
-    <= m (found by enumeration) must match the series coefficient, and by
-    transposition the same number must count partitions with at most m
-    parts.
+    <= m (found by enumeration) must match the series coefficient
+    (reported as ``parts<=m``), and by transposition the same number must
+    count partitions with at most m parts (``conjugate``).  The first
+    check runs over every n before the second.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     context = f"fact4(m={m}, order={order})"
     series = q_pochhammer(1, m, order).invert()
+    bounded_part = {}
+    bounded_len = {}
     for n in range(order + 1):
-        bounded_part = 0
-        bounded_len = 0
+        bounded_part[n] = bounded_len[n] = 0
         for parts in partitions_of(n):
-            if not parts or parts[0] <= m:
-                bounded_part += 1
-            if len(parts) <= m:
-                bounded_len += 1
-        expected = series.coefficient(n)
-        if bounded_part != expected:
-            return VerifyReport.failure(
-                context, where=("parts<=m", n), expected=expected, actual=bounded_part
-            )
-        if bounded_len != bounded_part:
-            return VerifyReport.failure(
-                context, where=("conjugate", n), expected=bounded_part, actual=bounded_len
-            )
-    return VerifyReport.success(context)
+            bounded_part[n] += not parts or parts[0] <= m
+            bounded_len[n] += len(parts) <= m
+    report = compare_counts(context, dict(enumerate(series.coeffs)), bounded_part, "parts<=m")
+    if not report.passed:
+        return report
+    return compare_counts(context, bounded_part, bounded_len, "conjugate")

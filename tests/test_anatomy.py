@@ -5,6 +5,7 @@ import pytest
 
 from hookpart.anatomy import (
     _chain_stage0,
+    _chain_stage1,
     _corner_counts,
     anatomy_factors,
     anatomy_gf,
@@ -159,6 +160,29 @@ def double_sum_stage0(c, d, order):
             j += 1
         i += 1
     return q_pochhammer(1, c + d, order) * inv(c) * inv(d) * make_monomial(base, order) * total
+
+
+def literal_stage1(c, d, order):
+    """The original stage 1, kept as an oracle: each row's tail
+    1/(q^(d+i+1))_inf built and inverted afresh."""
+    inv = lru_cache(maxsize=None)(lambda m: q_pochhammer(1, m, order).invert())
+    base = c + d + 1
+    total = zero(order)
+    i = 0
+    while base + i * (c + 1) <= order:
+        total = total + (
+            make_monomial(i * (c + 1), order)
+            * inv(i)
+            * q_pochhammer(d + i + 1, None, order).invert()
+        )
+        i += 1
+    return q_pochhammer(1, c + d, order) * inv(c) * inv(d) * make_monomial(base, order) * total
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 30, 60, 100])
+@pytest.mark.parametrize("c,d", list(itertools.product(range(4), repeat=2)))
+def test_stage1_matches_literal_oracle(c, d, order):
+    assert _chain_stage1(c, d, order).coeffs == literal_stage1(c, d, order).coeffs
 
 
 @pytest.mark.parametrize(

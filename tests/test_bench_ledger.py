@@ -1,0 +1,49 @@
+import importlib.util
+import json
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_ledger.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("bench_ledger", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def perfbench_run(seed, wall, setup, rss_kb, load):
+    """A result file as ``perfbench/run.py`` writes it, cut to what the ledger reads."""
+    return {
+        "correct": True, "attempted": 4, "failed": 0,
+        "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                    "setup_s": {"value": setup, "unit": "s"},
+                    "peak_rss_mb": {"value": max(rss_kb) / 1024, "unit": "MB"}},
+        "workload": "series", "seed": seed, "trace": False,
+        "samples": {"wall_s": [wall], "setup_s": [setup], "max_rss_kb": rss_kb},
+        "environment": {"python": "3.11.7", "nproc": 2, "git_rev": "abc",
+                        "src_sha256": "f00d", "loadavg_1m": load},
+    }
+
+
+def test_two_runs_condensed(tmp_path):
+    paths = []
+    for seed, wall, setup, rss_kb, load in [(1, 1.0, 0.1, [1024, 2048], 0.5),
+                                            (2, 3.0, 0.3, [3072], 1.5)]:
+        path = tmp_path / f"series-seed{seed}-trace0.json"
+        path.write_text(json.dumps(perfbench_run(seed, wall, setup, rss_kb, load)))
+        paths.append(str(path))
+    out = tmp_path / "BENCH.json"
+    assert load_tool().main(["--out", str(out)] + paths) == 0
+    ledger = json.loads(out.read_text())
+    assert list(ledger["workloads"]) == ["series"]
+    (entry,) = ledger["workloads"]["series"]
+    assert entry["wall_s"] == {"median": 2.0, "iqr": 1.0}
+    assert entry["setup_s"]["median"] == 0.2
+    assert abs(entry["setup_s"]["iqr"] - 0.1) < 1e-12
+    assert entry["launch_peak_rss_mb"] == {"median": 2.0, "max": 3.0}
+    assert entry["loadavg_1m"] == {"median": 1.0, "max": 1.5}
+    assert entry["seeds"] == {"timed": [1, 2], "traced": []}
+    assert (entry["failed"], entry["attempted"]) == (0, 8)
+    assert (entry["git_rev"], entry["python"], entry["nproc"]) == (["abc"], ["3.11.7"], [2])
+    assert entry["src_sha256"] == "f00d" and "layers" not in entry

@@ -15,6 +15,13 @@ from hookpart.statistics import PairMultiset
 ARM_LEG, ARM_LEFT, HOOK, PART = range(4)
 
 
+def shifted(target, key, delta):
+    """A copy of a pair multiset or polynomial, the count at ``key`` shifted."""
+    counts = dict(target.counts if isinstance(target, PairMultiset) else target)
+    counts[key] = counts.get(key, 0) + delta
+    return PairMultiset(counts=counts) if isinstance(target, PairMultiset) else counts
+
+
 def perturb_sweep(monkeypatch, n, index, key, delta):
     """Make ``statistics._sweep(n)`` return result ``index`` with the count
     at ``key`` shifted by ``delta``; every other n and result is untouched."""
@@ -23,13 +30,20 @@ def perturb_sweep(monkeypatch, n, index, key, delta):
     def perturbed(m):
         result = list(original(m))
         if m == n:
-            target = result[index]
-            counts = dict(target.counts if isinstance(target, PairMultiset) else target)
-            counts[key] = counts.get(key, 0) + delta
-            result[index] = PairMultiset(counts=counts) if index < HOOK else counts
+            result[index] = shifted(result[index], key, delta)
         return tuple(result)
 
     monkeypatch.setattr(statistics, "_sweep", perturbed)
+
+
+def perturb_rows(monkeypatch, n, key, delta):
+    """The same for the row-only arm-left tally ``statistics._row_sweep(n)``."""
+    original = statistics._row_sweep
+
+    def perturbed(m):
+        return shifted(original(m), key, delta) if m == n else original(m)
+
+    monkeypatch.setattr(statistics, "_row_sweep", perturbed)
 
 
 def assert_failure(report, context, where, expected, actual):
@@ -70,9 +84,25 @@ def test_identity1_part_from_arm_left_report(monkeypatch):
 
 
 def test_lemma_report(monkeypatch):
-    perturb_sweep(monkeypatch, 5, ARM_LEFT, (1, 0), 3)
+    perturb_rows(monkeypatch, 5, (1, 0), 3)
     report = statistics.verify_lemma(1, 0, "arm-left", 8, 10)
     assert_failure(report, "lemma(c=1, d=0, stat=arm-left, n_max=8)", 5, 4, 7)
+
+
+@pytest.mark.parametrize(
+    "dropped,where,expected,actual",
+    [
+        ((1, 1, 1, 1), ("parts<=m", 4), 3, 2),  # parts <= 2, but more than 2 of them
+        ((4,), ("conjugate", 4), 3, 2),  # at most 2 parts, but a part above 2
+    ],
+)
+def test_fact4_report(monkeypatch, dropped, where, expected, actual):
+    original = statistics.partitions_of
+    monkeypatch.setattr(
+        statistics, "partitions_of", lambda n: (p for p in original(n) if p != dropped)
+    )
+    report = statistics.verify_fact4(2, 6)
+    assert_failure(report, "fact4(m=2, order=6)", where, expected, actual)
 
 
 def test_anatomy_corner_sum_report(monkeypatch):

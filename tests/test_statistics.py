@@ -3,7 +3,7 @@ from types import MappingProxyType
 import pytest
 
 from hookpart import statistics
-from hookpart.partitions import cells, count_partitions, partitions_of
+from hookpart.partitions import cell_stats, cells, count_partitions, partitions_of
 from hookpart.qseries import lemma_rhs
 from hookpart.statistics import (
     PairMultiset,
@@ -148,7 +148,9 @@ def test_stat_polynomial_rejects_bad_stat():
         stat_polynomial(3, "arm-leg")
 
 
-def test_each_n_enumerated_once(monkeypatch):
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Record each n that ``statistics`` enumerates, from cold caches."""
     calls = []
 
     def counting(n):
@@ -157,11 +159,48 @@ def test_each_n_enumerated_once(monkeypatch):
 
     monkeypatch.setattr(statistics, "partitions_of", counting)
     statistics._sweep.cache_clear()
+    statistics._row_sweep.cache_clear()
+    yield calls
+    statistics._sweep.cache_clear()
+    statistics._row_sweep.cache_clear()
+
+
+def test_each_n_enumerated_once(enumerations):
     assert verify_theorem1(12).passed
     assert verify_identity1(12).passed
     assert stat_polynomial(12, "hook") == slow_stat_poly(12, "hook")
+    assert stat_polynomial(12, "part") == slow_stat_poly(12, "part")
+    assert build_pair_multiset(12, "arm-leg").total == 12 * count_partitions(12)
+    assert enumerations == [12]
+
+
+def test_arm_left_reads_rows_only(enumerations, monkeypatch):
+    def no_conjugate(parts):
+        raise AssertionError("the arm-left tally built a conjugate")
+
+    monkeypatch.setattr(statistics, "conjugate", no_conjugate)
     assert build_pair_multiset(12, "arm-left").total == 12 * count_partitions(12)
-    assert calls == [12]
+    assert count_pair(12, 3, 2, "arm-left") == slow_pair_counts(12, "arm-left")[(3, 2)]
+    assert enumerations == [12]
+
+
+def cell_stats_arm_left(n):
+    """Arm-left counts by the literal per-cell definition."""
+    counts = {}
+    for parts in partitions_of(n):
+        for row, length in enumerate(parts, 1):
+            for col in range(1, length + 1):
+                stats = cell_stats(parts, (row, col))
+                key = (stats.arm, stats.left)
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_row_tally_matches_sweep_and_cell_stats(n):
+    compared_by_theorem1 = statistics._sweep(n)[1]
+    assert compared_by_theorem1 == build_pair_multiset(n, "arm-left")
+    assert dict(compared_by_theorem1.counts) == cell_stats_arm_left(n)
 
 
 # --- pair counts vs closed form ----------------------------------------------

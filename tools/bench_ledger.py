@@ -1,0 +1,100 @@
+"""Condense perfbench result files into one bench ledger.
+
+    python3 tools/bench_ledger.py --out BENCH_11.json perfbench/out/*.json
+
+Each file given is one perfbench run (``perfbench/run.py`` writes them to
+``perfbench/out/``).  Runs are grouped by workload, then by the source
+tree they measured: the hash of ``src/hookpart/*.py`` that perfbench
+records.  ``git_rev`` is the checkout's HEAD at run time, so the runs of
+an uncommitted tree carry the rev of its parent; the hash tells the two
+apart.  For each group the ledger holds:
+
+- the median and IQR of the runs' ``wall_s`` and ``setup_s``;
+- the median and max of the per-launch peak RSS, over every launch of
+  every run (a run's own ``peak_rss_mb`` is its max alone);
+- the median of each per-layer metric over the traced runs;
+- the seeds, the commands failed and attempted, and the git rev, Python
+  version, nproc and 1-minute load of the runs.
+
+Stdlib only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+TIMES = ("wall_s", "setup_s")
+
+
+def _spread(values: list[float]) -> dict:
+    """Median and interquartile range; the IQR of fewer than two values is 0."""
+    iqr = 0.0
+    if len(values) > 1:
+        low, _, high = statistics.quantiles(values, n=4, method="inclusive")
+        iqr = high - low
+    return {"median": statistics.median(values), "iqr": iqr}
+
+
+def _distinct(values: list) -> list:
+    return sorted(set(values), key=str)
+
+
+def condense(runs: list[dict]) -> dict:
+    """The ledger of a list of perfbench results, as a JSON-ready dict."""
+    groups: dict[tuple[str, str], list[dict]] = {}
+    for run in runs:
+        key = (run["workload"], run["environment"]["src_sha256"])
+        groups.setdefault(key, []).append(run)
+    workloads: dict[str, list[dict]] = {}
+    for (workload, src), members in sorted(groups.items()):
+        timed = [run for run in members if not run["trace"]]
+        traced = [run for run in members if run["trace"]]
+        envs = [run["environment"] for run in members]
+        entry = {
+            "src_sha256": src,
+            "git_rev": _distinct([env["git_rev"] for env in envs]),
+            "python": _distinct([env["python"] for env in envs]),
+            "nproc": _distinct([env["nproc"] for env in envs]),
+            "loadavg_1m": {
+                "median": statistics.median(env["loadavg_1m"] for env in envs),
+                "max": max(env["loadavg_1m"] for env in envs),
+            },
+            "seeds": {"timed": sorted(run["seed"] for run in timed),
+                      "traced": sorted(run["seed"] for run in traced)},
+            "failed": sum(run["failed"] for run in members),
+            "attempted": sum(run["attempted"] for run in members),
+        }
+        for name in TIMES:
+            values = [run["metrics"][name]["value"] for run in timed if name in run["metrics"]]
+            if values:
+                entry[name] = _spread(values)
+        rss = [kb / 1024 for run in timed for kb in run["samples"]["max_rss_kb"]]
+        if rss:
+            entry["launch_peak_rss_mb"] = {"median": statistics.median(rss), "max": max(rss)}
+        layers: dict[str, list[float]] = {}
+        for run in traced:
+            for name, metric in run["metrics"].items():
+                layers.setdefault(name, []).append(metric["value"])
+        if layers:
+            entry["layers"] = {name: statistics.median(values)
+                               for name, values in sorted(layers.items())}
+        workloads.setdefault(workload, []).append(entry)
+    return {"workloads": workloads}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True, help="ledger file to write")
+    parser.add_argument("results", type=Path, nargs="+", help="perfbench result files")
+    args = parser.parse_args(argv)
+    runs = [json.loads(path.read_text(encoding="utf-8")) for path in args.results]
+    args.out.write_text(json.dumps(condense(runs), indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
