@@ -12,11 +12,15 @@ cached sweep over the partitions of n.  Arm-left and part are expanded
 from row-length multiplicities, read from every row of every partition;
 the same row tally, run alone with no per-cell work, gives the arm-left
 multiset to ``build_pair_multiset`` and the lemma check.
-Arm-leg and hook are tallied per cell, for one partition of each
-conjugate pair only: transposing a diagram swaps every cell's arm and
-leg and keeps its hook, so the skipped member's tally is the transpose
-of the tallied one's.  Pair multisets are sparse count maps, never
-flattened lists.
+Arm-leg and hook are tallied for one partition of each conjugate pair
+only: transposing a diagram swaps every cell's arm and leg and keeps its
+hook, so the skipped member's tally is the transpose of the tallied
+one's.  That tally reads the partition as blocks of equal rows.  A
+block of m >= 2 rows gives each of its columns one arm and a run of m
+consecutive legs and hooks, recorded as two +-1 marks in a difference
+array (an arm-leg run's end mark may spill into the next arm row; a
+hook run's, one past hook n); a lone row adds its cells one by one.
+Pair multisets are sparse count maps, never flattened lists.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -100,6 +105,29 @@ def _row_sweep(n: int) -> PairMultiset:
     return _expand_rows(rows)[0]
 
 
+def _new_tables(width: int) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Arm-leg and hook tables of ``_sweep``: cell counts, then runs.
+
+    The arm-leg tables are flattened, index arm * width + leg.  The run
+    tables are difference arrays.  An arm-leg run's end mark may spill
+    into the next arm row's first entry, never past the last row: a
+    block of two or more rows of length L has L <= width / 2, so its
+    marks stay below L * width.  A hook run's end mark may fall one past
+    hook ``width`` (the column of (1, ..., 1)), so that array is one
+    entry longer than the hook counts.
+    """
+    return [0] * (width * width), [0] * (width + 1), [0] * (width * width), [0] * (width + 2)
+
+
+def _add_runs(counts: list[int], runs: list[int]) -> None:
+    """Add the running sums of a difference array to cell counts, in place.
+
+    In place, so the sweep's peak holds no third table per statistic.
+    """
+    for idx, run in zip(range(len(counts)), accumulate(runs)):
+        counts[idx] += run
+
+
 @lru_cache(maxsize=None)
 def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mapping[int, int]]:
     """Arm-leg and arm-left multisets, hook and part polynomials of n.
@@ -108,46 +136,77 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
     counts the row lengths of every partition as it yields it, and arm-left
     and part are expanded from those counts by ``_expand_rows``.
 
-    Arm-leg and hook are tallied per cell, for one partition of each
-    conjugate pair {lambda, lambda'}.  Conjugation maps cell (i, j) of
-    lambda to cell (j, i) of lambda', arm and leg swapped, hook kept, so
-    the pair contributes T + T^t to arm-leg and twice its hooks, where T
-    and the hooks are lambda's alone.  A partition whose first part
-    exceeds its length is skipped before its conjugate is built: the
-    conjugate's first part is smaller than its length, and it is
-    tallied instead.  When the first part equals the length, the
-    conjugate's does too, so of two such distinct conjugates the larger
-    tuple is skipped.  A self-conjugate partition is its own pair and
-    goes to a table of weight one.  The tables are folded once at the
-    end, in O(n^2).  All four results are read-only: callers share
-    these cached objects.
+    Arm-leg and hook are tallied for one partition of each conjugate
+    pair {lambda, lambda'}.  Conjugation maps cell (i, j) of lambda to
+    cell (j, i) of lambda', arm and leg swapped, hook kept, so the pair
+    contributes T + T^t to arm-leg and twice its hooks, where T and the
+    hooks are lambda's alone.  A partition whose first part exceeds its
+    length is skipped before its conjugate is built: the conjugate's
+    first part is smaller than its length, and it is tallied instead.
+    When the first part equals the length, the conjugate's does too, so
+    of two such distinct conjugates the larger tuple is skipped.  A
+    self-conjugate partition is its own pair and goes to tables of
+    weight one.
+
+    The tallied partition is read as blocks of equal rows, longest
+    first: the rows of length L are rows conj[L] .. conj[L-1]-1
+    (0-based, taking conj[parts[0]] = 0).  In a block of m >= 2 rows,
+    column j holds one arm, L-1-j, and m consecutive legs, so also m
+    consecutive hooks; each column adds a +1 at the run's start and a
+    -1 past its end to an arm-leg and a hook difference array, sized by
+    ``_new_tables`` for where an end mark may fall.  A block of one row
+    adds its cells to the count tables directly.  Once per n, the
+    running sums of the difference arrays are added into the count
+    tables, and the tables folded, in O(n^2).  All four results are
+    read-only: callers share these cached objects.
     """
     width = n
-    # pair_*: one member of each pair of distinct conjugates; self_*: self-conjugates
-    pair_arm_leg = [0] * (width * width)
-    self_arm_leg = [0] * (width * width)
-    pair_hooks = [0] * (n + 1)
-    self_hooks = [0] * (n + 1)
+    # one member of each pair of distinct conjugates; self-conjugates
+    pair_tables, self_tables = _new_tables(width), _new_tables(width)
     rows = [0] * (n + 1)
     for parts in _rows_tallied(n, rows):
         height = len(parts)
         if not parts or parts[0] > height:
             continue
         conj = conjugate(parts)
-        leg_table, hook_table = pair_arm_leg, pair_hooks
+        tables = pair_tables
         if parts[0] == height:
             if conj == parts:
-                leg_table, hook_table = self_arm_leg, self_hooks
+                tables = self_tables
             elif conj < parts:
                 continue
-        for i, length in enumerate(parts):
-            # cell j of row i+1: arm = length-1-j, leg = conj[j]-(i+1)
-            base = (length - 1) * width - i - 1
-            hook_base = length - i - 1
-            for j in range(length):
-                leg_end = conj[j]
-                leg_table[base - j * width + leg_end] += 1
-                hook_table[hook_base - j + leg_end] += 1
+        arm_leg, hooks, arm_leg_runs, hook_runs = tables
+        # column j's share of a cell's arm-leg index and of its hook
+        cols = [(leg_end - j * width, leg_end - j) for j, leg_end in enumerate(conj)]
+        first = 0
+        while first < height:
+            # rows first .. last-1 all have length `length`
+            length = parts[first]
+            last = conj[length - 1]
+            del cols[length:]
+            base = (length - 1) * width
+            if last - first == 1:
+                # cell j: arm = length-1-j, leg = conj[j]-first-1
+                base -= first + 1
+                hook_base = length - first - 1
+                for arm_leg_col, hook_col in cols:
+                    arm_leg[base + arm_leg_col] += 1
+                    hooks[hook_base + hook_col] += 1
+            else:
+                # column j: arm = length-1-j, legs conj[j]-last .. conj[j]-first-1
+                start, stop = base - last, base - first
+                hook_start, hook_stop = length - last, length - first
+                for arm_leg_col, hook_col in cols:
+                    arm_leg_runs[start + arm_leg_col] += 1
+                    arm_leg_runs[stop + arm_leg_col] -= 1
+                    hook_runs[hook_start + hook_col] += 1
+                    hook_runs[hook_stop + hook_col] -= 1
+            first = last
+    for arm_leg, hooks, arm_leg_runs, hook_runs in (pair_tables, self_tables):
+        _add_runs(arm_leg, arm_leg_runs)
+        _add_runs(hooks, hook_runs)
+    pair_arm_leg, pair_hooks = pair_tables[:2]
+    self_arm_leg, self_hooks = self_tables[:2]
     leg_pairs = {}
     for c in range(width):
         for d in range(width):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,13 @@ def test_fact_missing_flags_is_usage_error(capsys):
     code, _, err = invoke(capsys, *"verify fact --id 1 --k 1 --trunc 12".split())
     assert code == 2
     assert "--a" in err
+
+
+def test_fact4_order_above_cap_is_usage_error(capsys):
+    argv = ["verify", "fact", "--id", "4", "--m", "2", "--trunc", str(cli.FACT4_MAX_ORDER + 1)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"must not exceed {cli.FACT4_MAX_ORDER}" in err
 
 
 def test_anatomy_and_chain(capsys):
@@ -233,6 +242,18 @@ def test_output_identical_across_jobs(capsys, monkeypatch):
             _, serial, _ = invoke(capsys, *argv, "--jobs", "1")
             _, parallel, _ = invoke(capsys, *argv, "--jobs", "2")
             assert serial == parallel, (check, fmt)
+
+
+@pytest.mark.parametrize("check", ["theorem1", "identity1"])
+def test_full_scale_output_matches_benchmark_digest(capsys, check):
+    # the benchmark records the --jobs 2 output; --jobs 1 must print the same bytes
+    digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+    recorded = digests[f"verify {check} --n-max 40 --jobs 2"]
+    code, out, _ = invoke(capsys, "verify", check, "--n-max", "40", "--jobs", "1")
+    assert code == 0
+    stdout = out.encode()
+    assert len(stdout) == recorded["bytes"]
+    assert hashlib.sha256(stdout).hexdigest() == recorded["sha256"]
 
 
 def test_match_output_stable(capsys):

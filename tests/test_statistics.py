@@ -78,6 +78,14 @@ def test_multiset_totals_full_scale():
         assert build_pair_multiset(n, "arm-left").total == expected
 
 
+@pytest.mark.parametrize("verify", [verify_theorem1, verify_identity1])
+def test_identities_pass_full_scale(verify):
+    # reads the sweeps cached by the totals test above, n = 0 .. 40
+    for n in range(41):
+        report = verify(n)
+        assert report.passed, report
+
+
 def test_multiset_rejects_bad_stat():
     with pytest.raises(ValueError):
         build_pair_multiset(3, "hook")
@@ -194,6 +202,26 @@ def cell_stats_arm_left(n):
                 key = (stats.arm, stats.left)
                 counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def cell_stats_arm_leg_hooks(n):
+    """Arm-leg counts and hook polynomial by the literal per-cell definition,
+    legs counted by scanning the rows below, never read off a conjugate."""
+    counts, hooks = {}, {}
+    for parts in partitions_of(n):
+        for row, length in enumerate(parts, 1):
+            for col in range(1, length + 1):
+                stats = cell_stats(parts, (row, col))
+                key = (stats.arm, stats.leg)
+                counts[key] = counts.get(key, 0) + 1
+                hooks[stats.hook] = hooks.get(stats.hook, 0) + 1
+    return counts, hooks
+
+
+@pytest.mark.parametrize("n", range(19))
+def test_sweep_arm_leg_and_hooks_match_cell_stats(n):
+    arm_leg, _, hook_poly, _ = statistics._sweep(n)
+    assert (dict(arm_leg.counts), dict(hook_poly)) == cell_stats_arm_leg_hooks(n)
 
 
 @pytest.mark.parametrize("n", range(26))
