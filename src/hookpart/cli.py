@@ -17,6 +17,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -32,6 +33,15 @@ FACT_ARGS = {1: ("a", "k", "trunc"), 2: ("k", "trunc"), 3: ("m", "n"), 4: ("m", 
 # fact 4 enumerates every partition of every n <= --trunc, about 2.4x the
 # cost per +5: order 60 takes about 10 s on one 2-core host, order 100 hours
 FACT4_MAX_ORDER = 60
+
+# fact 3 enumerates all C(m+n, m) partitions in the m-by-n box and builds
+# Gaussian binomials at order m*n, about (m*n)^2 steps; at the limits the
+# slowest boxes (11x11, 3x179, 2x1000, 2000x1) take 0.4-0.8 s on one 2-core
+# host, while 12x12 took 1.5 s and 20000x1 28 s.  A side is bounded too:
+# with the other side 0 the area is 0, but the Gaussian binomial still
+# takes a step per row or column
+FACT3_MAX_BOX_PARTITIONS = 10**6
+FACT3_MAX_AREA = 2000
 
 
 def _nonneg(text: str) -> int:
@@ -372,6 +382,17 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         if missing:
             flags = ", ".join("--" + name for name in missing)
             parser.error(f"fact {args.fact_id} requires {flags}")
+        if args.fact_id == 3:
+            if max(args.m, args.n, args.m * args.n) > FACT3_MAX_AREA:
+                parser.error(
+                    f"fact 3: --m ({args.m}), --n ({args.n}) and their product "
+                    f"must not exceed {FACT3_MAX_AREA}"
+                )
+            if math.comb(args.m + args.n, args.m) > FACT3_MAX_BOX_PARTITIONS:
+                parser.error(
+                    f"fact 3: the {args.m}x{args.n} box holds C({args.m + args.n}, {args.m}) "
+                    f"partitions, more than {FACT3_MAX_BOX_PARTITIONS}"
+                )
         if args.fact_id == 4 and args.trunc > FACT4_MAX_ORDER:
             parser.error(f"fact 4: --trunc ({args.trunc}) must not exceed {FACT4_MAX_ORDER}")
     elif args.check in ("lemma", "anatomy") and args.n_max > args.trunc:

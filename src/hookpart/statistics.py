@@ -15,12 +15,7 @@ multiset to ``build_pair_multiset`` and the lemma check.
 Arm-leg and hook are tallied for one partition of each conjugate pair
 only: transposing a diagram swaps every cell's arm and leg and keeps its
 hook, so the skipped member's tally is the transpose of the tallied
-one's.  That tally reads the partition as blocks of equal rows.  A
-block of m >= 2 rows gives each of its columns one arm and a run of m
-consecutive legs and hooks, recorded as two +-1 marks in a difference
-array (an arm-leg run's end mark may spill into the next arm row; a
-hook run's, one past hook n); a lone row adds its cells one by one.
-Pair multisets are sparse count maps, never flattened lists.
+one's.  Pair multisets are sparse count maps, never flattened lists.
 """
 
 from __future__ import annotations
@@ -105,20 +100,6 @@ def _row_sweep(n: int) -> PairMultiset:
     return _expand_rows(rows)[0]
 
 
-def _new_tables(width: int) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Arm-leg and hook tables of ``_sweep``: cell counts, then runs.
-
-    The arm-leg tables are flattened, index arm * width + leg.  The run
-    tables are difference arrays.  An arm-leg run's end mark may spill
-    into the next arm row's first entry, never past the last row: a
-    block of two or more rows of length L has L <= width / 2, so its
-    marks stay below L * width.  A hook run's end mark may fall one past
-    hook ``width`` (the column of (1, ..., 1)), so that array is one
-    entry longer than the hook counts.
-    """
-    return [0] * (width * width), [0] * (width + 1), [0] * (width * width), [0] * (width + 2)
-
-
 def _add_runs(counts: list[int], runs: list[int]) -> None:
     """Add the running sums of a difference array to cell counts, in place.
 
@@ -144,38 +125,41 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
     length is skipped before its conjugate is built: the conjugate's
     first part is smaller than its length, and it is tallied instead.
     When the first part equals the length, the conjugate's does too, so
-    of two such distinct conjugates the larger tuple is skipped.  A
-    self-conjugate partition is its own pair and goes to tables of
-    weight one.
+    of two such distinct conjugates the larger tuple is skipped.  The
+    tallied member of a pair goes into the tables with weight two; a
+    self-conjugate partition, its own pair, with weight one.
 
     The tallied partition is read as blocks of equal rows, longest
     first: the rows of length L are rows conj[L] .. conj[L-1]-1
     (0-based, taking conj[parts[0]] = 0).  In a block of m >= 2 rows,
     column j holds one arm, L-1-j, and m consecutive legs, so also m
-    consecutive hooks; each column adds a +1 at the run's start and a
-    -1 past its end to an arm-leg and a hook difference array, sized by
-    ``_new_tables`` for where an end mark may fall.  A block of one row
-    adds its cells to the count tables directly.  Once per n, the
-    running sums of the difference arrays are added into the count
-    tables, and the tables folded, in O(n^2).  All four results are
-    read-only: callers share these cached objects.
+    consecutive hooks; each column adds the weight at the run's start
+    and takes it off past its end in an arm-leg and a hook difference
+    array.  A block of one row adds its cells to the count tables
+    directly.  Once per n, the running sums of the difference arrays are
+    added into the count tables, and arm-leg folded with its transpose,
+    in O(n^2).  All four results are read-only: callers share these
+    cached objects.
     """
     width = n
-    # one member of each pair of distinct conjugates; self-conjugates
-    pair_tables, self_tables = _new_tables(width), _new_tables(width)
+    # Cell counts and difference arrays; arm-leg is flattened, index
+    # arm * width + leg.  An arm-leg run's end mark may spill into the
+    # next arm row's first entry, never past the last row: a block of two
+    # or more rows of length L has L <= width / 2, so its marks stay below
+    # L * width.  A hook run's end mark may fall one past hook ``width``
+    # (the column of (1, ..., 1)), so that array is one entry longer than
+    # the hook counts.
+    arm_leg, hooks = [0] * (width * width), [0] * (width + 1)
+    arm_leg_runs, hook_runs = [0] * (width * width), [0] * (width + 2)
     rows = [0] * (n + 1)
     for parts in _rows_tallied(n, rows):
         height = len(parts)
         if not parts or parts[0] > height:
             continue
         conj = conjugate(parts)
-        tables = pair_tables
-        if parts[0] == height:
-            if conj == parts:
-                tables = self_tables
-            elif conj < parts:
-                continue
-        arm_leg, hooks, arm_leg_runs, hook_runs = tables
+        if parts[0] == height and conj < parts:
+            continue
+        weight = 1 if conj == parts else 2
         # column j's share of a cell's arm-leg index and of its hook
         cols = [(leg_end - j * width, leg_end - j) for j, leg_end in enumerate(conj)]
         first = 0
@@ -190,31 +174,29 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
                 base -= first + 1
                 hook_base = length - first - 1
                 for arm_leg_col, hook_col in cols:
-                    arm_leg[base + arm_leg_col] += 1
-                    hooks[hook_base + hook_col] += 1
+                    arm_leg[base + arm_leg_col] += weight
+                    hooks[hook_base + hook_col] += weight
             else:
                 # column j: arm = length-1-j, legs conj[j]-last .. conj[j]-first-1
                 start, stop = base - last, base - first
                 hook_start, hook_stop = length - last, length - first
                 for arm_leg_col, hook_col in cols:
-                    arm_leg_runs[start + arm_leg_col] += 1
-                    arm_leg_runs[stop + arm_leg_col] -= 1
-                    hook_runs[hook_start + hook_col] += 1
-                    hook_runs[hook_stop + hook_col] -= 1
+                    arm_leg_runs[start + arm_leg_col] += weight
+                    arm_leg_runs[stop + arm_leg_col] -= weight
+                    hook_runs[hook_start + hook_col] += weight
+                    hook_runs[hook_stop + hook_col] -= weight
             first = last
-    for arm_leg, hooks, arm_leg_runs, hook_runs in (pair_tables, self_tables):
-        _add_runs(arm_leg, arm_leg_runs)
-        _add_runs(hooks, hook_runs)
-    pair_arm_leg, pair_hooks = pair_tables[:2]
-    self_arm_leg, self_hooks = self_tables[:2]
+    _add_runs(arm_leg, arm_leg_runs)
+    _add_runs(hooks, hook_runs)
+    # arm_leg is P = 2T + S, T over the tallied pair members and S over
+    # the self-conjugates; S is symmetric, so P + P^t is even and half of
+    # it is T + T^t + S exactly
     leg_pairs = {}
     for c in range(width):
         for d in range(width):
-            idx = c * width + d
-            cnt = pair_arm_leg[idx] + pair_arm_leg[d * width + c] + self_arm_leg[idx]
+            cnt = (arm_leg[c * width + d] + arm_leg[d * width + c]) // 2
             if cnt:
                 leg_pairs[(c, d)] = cnt
-    hooks = [2 * cnt + self_cnt for cnt, self_cnt in zip(pair_hooks, self_hooks)]
     arm_left, part_poly = _expand_rows(rows)
     return (
         PairMultiset(counts=MappingProxyType(leg_pairs)),

@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -76,6 +78,28 @@ def test_fact4_order_above_cap_is_usage_error(capsys):
     code, out, err = invoke(capsys, *argv)
     assert code == 2 and out == ""
     assert f"must not exceed {cli.FACT4_MAX_ORDER}" in err
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [
+        (1, cli.FACT3_MAX_AREA + 1),  # the product
+        (cli.FACT3_MAX_AREA + 1, 0),  # a side, with an empty box
+    ],
+)
+def test_fact3_area_above_cap_is_usage_error(capsys, m, n):
+    code, out, err = invoke(capsys, "verify", "fact", "--id", "3", "--m", str(m), "--n", str(n))
+    assert code == 2 and out == ""
+    assert f"must not exceed {cli.FACT3_MAX_AREA}" in err
+
+
+def test_fact3_box_partitions_above_cap_is_usage_error(capsys):
+    # the narrowest box of three rows just over the partition cap
+    n = next(n for n in itertools.count() if math.comb(n + 3, 3) > cli.FACT3_MAX_BOX_PARTITIONS)
+    assert math.comb(n + 2, 3) <= cli.FACT3_MAX_BOX_PARTITIONS and 3 * n <= cli.FACT3_MAX_AREA
+    code, out, err = invoke(capsys, "verify", "fact", "--id", "3", "--m", "3", "--n", str(n))
+    assert code == 2 and out == ""
+    assert f"more than {cli.FACT3_MAX_BOX_PARTITIONS}" in err
 
 
 def test_anatomy_and_chain(capsys):
@@ -422,3 +446,24 @@ def test_cli_import_loads_no_pool_modules():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_module_entry_point_exits_with_run_code(capsys):
+    # `python -m hookpart` goes through __main__.py and cli.main's sys.exit
+    src = os.path.dirname(os.path.dirname(hookpart.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = ["verify", "theorem1", "--n-max", "3", "--jobs", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "hookpart", *argv], env=env, capture_output=True, text=True
+    )
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0 and (done.returncode, done.stdout) == (code, out)
+    usage = subprocess.run(
+        [sys.executable, "-m", "hookpart", "verify", "theorem1"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert usage.returncode == 2 and usage.stdout == ""
+    assert "--n-max" in usage.stderr
