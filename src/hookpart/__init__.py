@@ -38,6 +38,7 @@ from hookpart.qseries import (
     lemma_rhs,
     make_monomial,
     one,
+    partial_euler_inv,
     q_pochhammer,
     verify_fact1,
     verify_fact2,
@@ -82,6 +83,7 @@ __all__ = [
     "lemma_rhs",
     "make_monomial",
     "one",
+    "partial_euler_inv",
     "partitions_of",
     "proof_chain",
     "q_pochhammer",

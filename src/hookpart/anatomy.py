@@ -11,12 +11,14 @@ whose closed form is q^(c+d+1) / ((1 - q^(c+d+1)) (q)_inf).
 ``proof_chain`` re-derives that closed form numerically: the double sum
 over corners is collapsed step by step (inner sum first, then the outer
 one), each stage evaluated by its own code path, and all five stages are
-compared coefficient-wise.
+compared coefficient-wise.  Stages 0-2 each build their own row summands
+and share one evaluation of the outer sum over the rows, ``_outer_sum``;
+stages 3 and 4 and ``qseries.lemma_rhs`` never call it, so a fault in it
+shows as a stage mismatch.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 from hookpart import statistics
@@ -30,6 +32,7 @@ from hookpart.qseries import (
     lemma_rhs,
     make_monomial,
     one,
+    partial_euler_inv,
     q_pochhammer,
     zero,
 )
@@ -63,20 +66,14 @@ def _check_corner_args(c: int, d: int, i: int, j: int) -> None:
         raise ValueError(f"anatomy parameters must be nonnegative, got {(c, d, i, j)}")
 
 
-@lru_cache(maxsize=None)
-def _at_most_parts_inv(m: int, order: int) -> QSeries:
-    """1/(q)_m: free diagrams with at most m rows (or parts <= m)."""
-    return q_pochhammer(1, m, order).invert()
-
-
 def anatomy_factors(c: int, d: int, i: int, j: int, order: int) -> AnatomyFactors:
     _check_corner_args(c, d, i, j)
     return AnatomyFactors(
         corner_box=make_monomial(i * j, order),
         above_arm=make_monomial((c + 1) * i, order),
         left_of_leg=make_monomial((d + 1) * j, order),
-        upper_right=_at_most_parts_inv(i, order),
-        lower_left=_at_most_parts_inv(j, order),
+        upper_right=partial_euler_inv(i, order),
+        lower_left=partial_euler_inv(j, order),
         hook_cells=make_monomial(c + d + 1, order),
         inside_hook=gauss_binomial(c, d, order),
     )
@@ -191,7 +188,7 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# The derivation chain: five structurally independent evaluations.
+# The derivation chain: five evaluations, compared in turn.
 # ---------------------------------------------------------------------------
 
 
@@ -205,8 +202,8 @@ def _box_prefactor(c: int, d: int, order: int) -> QSeries:
     with the quotient evaluated literally (not via the box recurrence)."""
     return (
         q_pochhammer(1, c + d, order)
-        * _at_most_parts_inv(c, order)
-        * _at_most_parts_inv(d, order)
+        * partial_euler_inv(c, order)
+        * partial_euler_inv(d, order)
         * make_monomial(c + d + 1, order)
     )
 
@@ -216,16 +213,37 @@ def _euler_box_head(c: int, d: int, order: int) -> QSeries:
     return (
         _euler_prefix(c, d, order)
         * q_pochhammer(1, c + d, order)
-        * _at_most_parts_inv(c, order)
+        * partial_euler_inv(c, order)
     )
 
 
 def _corner_rows(c: int, d: int, order: int) -> dict[int, list[int]]:
-    """``corner_placements`` up to the series order, as row i -> its j's."""
+    """``corner_placements`` up to the series order, as row i -> its j's.
+    The rows are 0, 1, ..., I, with no gaps."""
     rows: dict[int, list[int]] = {}
     for i, j in corner_placements(c, d, order):
         rows.setdefault(i, []).append(j)
     return rows
+
+
+def _outer_sum(c: int, summands: list[QSeries], order: int) -> QSeries:
+    """sum_i q^(i(c+1)) / (q)_i * R_i over the rows i = 0..I, R_i = summands[i].
+
+    The outer sum of stages 0-2, nested from the top row:
+    A_I = R_I and A_i = R_i + q^(c+1) * A_(i+1) / (1 - q^(i+1)), so that
+    A_0 is the sum.  Each row costs one in-place division by a two-term
+    factor (e ascending, so acc[e - k] already holds the quotient) and
+    one shift: O(order) per row, with no dense product.
+    """
+    shift = c + 1
+    acc = [0] * (order + 1)
+    for i in range(len(summands) - 1, -1, -1):
+        k = i + 1
+        for e in range(k, order + 1):
+            acc[e] += acc[e - k]
+        row = summands[i].coeffs
+        acc = list(row[:shift]) + [r + a for r, a in zip(row[shift:], acc)]
+    return QSeries(acc)
 
 
 def _chain_stage0(c: int, d: int, order: int) -> QSeries:
@@ -233,15 +251,16 @@ def _chain_stage0(c: int, d: int, order: int) -> QSeries:
 
     (q)_{c+d} / ((q)_c (q)_d) * q^(c+d+1)
         * sum_i q^(i(c+1)) / (q)_i * sum_j q^(j(i+d+1)) / (q)_j
-    with the inner sum over j kept explicit, one series per row i.
+    with the inner sum over j kept explicit, one series per row i, and the
+    outer sum over i by ``_outer_sum``.
     """
-    total = zero(order)
+    rows = []
     for i, columns in _corner_rows(c, d, order).items():
         row = zero(order)
         for j in columns:
-            row = row + make_monomial(j * (i + d + 1), order) * _at_most_parts_inv(j, order)
-        total = total + make_monomial(i * (c + 1), order) * _at_most_parts_inv(i, order) * row
-    return _box_prefactor(c, d, order) * total
+            row = row + make_monomial(j * (i + d + 1), order) * partial_euler_inv(j, order)
+        rows.append(row)
+    return _box_prefactor(c, d, order) * _outer_sum(c, rows, order)
 
 
 def _chain_stage1(c: int, d: int, order: int) -> QSeries:
@@ -253,14 +272,15 @@ def _chain_stage1(c: int, d: int, order: int) -> QSeries:
     The tail 1/(q^(d+i+1))_inf is inverted once, for row 0; each later
     row multiplies the previous row's tail by the two-term factor
     (1 - q^(d+i)), in O(order), since (q^(d+i))_inf = (1 - q^(d+i)) (q^(d+i+1))_inf.
+    The outer sum over i is ``_outer_sum``'s.
     """
-    total = zero(order)
+    tails = []
     tail = q_pochhammer(d + 1, None, order).invert()
     for i in _corner_rows(c, d, order):
         if i:
             tail = (one(order) - make_monomial(d + i, order)) * tail
-        total = total + make_monomial(i * (c + 1), order) * _at_most_parts_inv(i, order) * tail
-    return _box_prefactor(c, d, order) * total
+        tails.append(tail)
+    return _box_prefactor(c, d, order) * _outer_sum(c, tails, order)
 
 
 def _chain_stage2(c: int, d: int, order: int) -> QSeries:
@@ -269,17 +289,14 @@ def _chain_stage2(c: int, d: int, order: int) -> QSeries:
 
     q^(c+d+1)/(q)_inf * (q)_{c+d}/(q)_c
         * sum_i q^(i(c+1)) (q)_{i+d} / ((q)_d (q)_i)
-    where the summand quotient is evaluated literally.
+    where each row's (q)_{i+d} is a literal ``q_pochhammer`` product of
+    i+d two-term factors, and only it: the i-independent 1/(q)_d is taken
+    out of the sum into the head, and q^(i(c+1)) / (q)_i is applied by
+    ``_outer_sum``.
     """
-    total = zero(order)
-    for i in _corner_rows(c, d, order):
-        total = total + (
-            make_monomial(i * (c + 1), order)
-            * q_pochhammer(1, i + d, order)
-            * _at_most_parts_inv(d, order)
-            * _at_most_parts_inv(i, order)
-        )
-    return _euler_box_head(c, d, order) * total
+    products = [q_pochhammer(1, i + d, order) for i in _corner_rows(c, d, order)]
+    head = _euler_box_head(c, d, order) * partial_euler_inv(d, order)
+    return head * _outer_sum(c, products, order)
 
 
 def _chain_stage3(c: int, d: int, order: int) -> QSeries:

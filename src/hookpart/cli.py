@@ -43,6 +43,18 @@ FACT4_MAX_ORDER = 60
 FACT3_MAX_BOX_PARTITIONS = 10**6
 FACT3_MAX_AREA = 2000
 
+# `series gauss` builds its Gaussian binomial at order m*n by default, about
+# (m*n)^2 / 4 steps for a square box and (m*n)^2 / 2 for a thin one: at the
+# limit 1x10000 takes 4.3 s, 2x5000 3.9 s and 100x100 2.4 s on one 2-core
+# host.  Each side is bounded too, as for fact 3: an empty box still takes a
+# step per row of its longer side
+GAUSS_MAX_AREA = 10**4
+
+# the chain's stage 2 builds a literal (q)_{i+d} for each of about --trunc
+# rows, so its cost grows like the cube of the order: c = d = 0, the
+# slowest split, takes 3.0 s at order 500 and 9.6 s at 700 on one 2-core host
+CHAIN_MAX_ORDER = 700
+
 
 def _nonneg(text: str) -> int:
     value = int(text)
@@ -375,6 +387,12 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             parser.error(f"--out: directory {directory!r} does not exist")
         if not os.access(directory, os.W_OK):
             parser.error(f"--out: directory {directory!r} is not writable")
+    if args.command == "series" and args.kind == "gauss":
+        if max(args.m, args.n, args.m * args.n) > GAUSS_MAX_AREA:
+            parser.error(
+                f"gauss: --m ({args.m}), --n ({args.n}) and their product "
+                f"must not exceed {GAUSS_MAX_AREA}"
+            )
     if args.command != "verify":
         return
     if args.check == "fact":
@@ -397,6 +415,8 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             parser.error(f"fact 4: --trunc ({args.trunc}) must not exceed {FACT4_MAX_ORDER}")
     elif args.check in ("lemma", "anatomy") and args.n_max > args.trunc:
         parser.error(f"n_max ({args.n_max}) must not exceed the series order ({args.trunc})")
+    elif args.check == "chain" and args.trunc > CHAIN_MAX_ORDER:
+        parser.error(f"chain: --trunc ({args.trunc}) must not exceed {CHAIN_MAX_ORDER}")
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

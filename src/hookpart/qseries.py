@@ -241,18 +241,53 @@ def euler_inv(order: int) -> QSeries:
     return q_pochhammer(1, None, order).invert()
 
 
+@lru_cache(maxsize=8)
+def _partial_euler_family(order: int) -> list[QSeries]:
+    """[1/(q)_0, 1/(q)_1, ...] at one order, as far as ``partial_euler_inv``
+    has grown it.  The list stays private; its members are immutable."""
+    return [one(order)]
+
+
+def partial_euler_inv(m: int, order: int) -> QSeries:
+    """1/(q)_m = 1/((1-q)(1-q^2)...(1-q^m)): partitions with parts <= m,
+    or with at most m parts.
+
+    1/(q)_m is built from 1/(q)_(m-1) by one in-place division by the
+    two-term factor (1 - q^m): b[e] += b[e - m] with e ascending, so that
+    b[e - m] already holds the quotient.  Each new m costs O(order).  The
+    family is kept per order (for the last few orders) and grown by a
+    loop, since m reaches the order.  Factors with m > order are 1 to this
+    precision, so beyond the order the family ends at 1/(q)_order.
+    """
+    if m < 0:
+        raise ValueError(f"m must be nonnegative, got {m}")
+    family = _partial_euler_family(order)
+    top = min(m, order)
+    if top >= len(family):
+        coeffs = list(family[-1].coeffs)
+        for k in range(len(family), top + 1):
+            for e in range(k, order + 1):
+                coeffs[e] += coeffs[e - k]
+            family.append(QSeries(coeffs))
+    return family[top]
+
+
 def gauss_binomial(m: int, n: int, order: int) -> QSeries:
     """Gaussian binomial for the m-by-n box, truncated to the given order.
 
     A polynomial of degree min(m*n, order); equal as a series to
     (q)_{m+n} / ((q)_m (q)_n), but computed by the cell-at-the-corner
     recurrence F(a,b) = q^b * F(a-1,b) + F(a,b-1), F(0,b) = F(a,0) = 1,
-    which stays in integers throughout (no division).  One row of boxes
-    F(a, 0..n) is kept at a time, each truncated at the order, so the
-    cost is O(m * n * min(m*n, order)) whatever the box size.
+    which stays in integers throughout (no division).  The binomial is
+    symmetric in m and n, so n is taken as the shorter side, and one row
+    of boxes F(a, 0..n) is kept at a time, each truncated at the order:
+    the cost is O(m * n * min(m*n, order)) and the memory
+    O(min(m, n) * min(m*n, order)) whatever the box size.
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
+    if n > m:
+        m, n = n, m
     row = [[1] for _ in range(n + 1)]
     for a in range(1, m + 1):
         for b in range(1, n + 1):
@@ -333,13 +368,18 @@ def verify_fact1(a: int, k: int, order: int) -> VerifyReport:
 
 
 def verify_fact2(k: int, order: int) -> VerifyReport:
-    """Check 1/(z)_inf = sum_j z^j/(q)_j at z = q^k."""
+    """Check 1/(z)_inf = sum_j z^j/(q)_j at z = q^k.
+
+    Left side: the inverted infinite product (q^k)_inf.  Right side: each
+    1/(q)_j from ``partial_euler_inv``, which divides by one two-term
+    factor per j, so the two sides share no inversion.
+    """
     if k < 1:
         raise ValueError("specialization exponent k must be >= 1")
     lhs = q_pochhammer(k, None, order).invert()
     rhs = zero(order)
     j = 0
     while k * j <= order:
-        rhs = rhs + make_monomial(k * j, order) * q_pochhammer(1, j, order).invert()
+        rhs = rhs + make_monomial(k * j, order) * partial_euler_inv(j, order)
         j += 1
     return compare_series(f"fact2(k={k}, order={order})", lhs, rhs)

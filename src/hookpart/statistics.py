@@ -36,7 +36,7 @@ from hookpart.qseries import (
     lemma_rhs,
     make_monomial,
     one,
-    q_pochhammer,
+    partial_euler_inv,
 )
 
 PAIR_STATS = ("arm-leg", "arm-left")
@@ -323,7 +323,8 @@ def verify_fact3(m: int, n: int) -> VerifyReport:
 
 
 def verify_fact4(m: int, order: int) -> VerifyReport:
-    """Check the parts-bounded-by-m enumerator against 1/(q)_m.
+    """Check the parts-bounded-by-m enumerator against 1/(q)_m, as built
+    by ``qseries.partial_euler_inv``.
 
     For each n <= order, the number of partitions of n with every part
     <= m (found by enumeration) must match the series coefficient
@@ -334,7 +335,7 @@ def verify_fact4(m: int, order: int) -> VerifyReport:
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
     context = f"fact4(m={m}, order={order})"
-    series = q_pochhammer(1, m, order).invert()
+    series = partial_euler_inv(m, order)
     bounded_part = {}
     bounded_len = {}
     for n in range(order + 1):

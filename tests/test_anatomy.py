@@ -6,6 +6,7 @@ import pytest
 from hookpart.anatomy import (
     _chain_stage0,
     _chain_stage1,
+    _chain_stage2,
     _corner_counts,
     anatomy_factors,
     anatomy_gf,
@@ -183,6 +184,28 @@ def literal_stage1(c, d, order):
 @pytest.mark.parametrize("c,d", list(itertools.product(range(4), repeat=2)))
 def test_stage1_matches_literal_oracle(c, d, order):
     assert _chain_stage1(c, d, order).coeffs == literal_stage1(c, d, order).coeffs
+
+
+def literal_stage2(c, d, order):
+    """The original stage 2, kept as an oracle: each row's summand
+    (q)_{i+d} * 1/(q)_d * 1/(q)_i multiplied out as dense series."""
+    inv = lru_cache(maxsize=None)(lambda m: q_pochhammer(1, m, order).invert())
+    base = c + d + 1
+    total = zero(order)
+    i = 0
+    while base + i * (c + 1) <= order:
+        total = total + (
+            make_monomial(i * (c + 1), order) * q_pochhammer(1, i + d, order) * inv(d) * inv(i)
+        )
+        i += 1
+    euler = q_pochhammer(1, None, order).invert()
+    return make_monomial(base, order) * euler * q_pochhammer(1, c + d, order) * inv(c) * total
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 30, 60, 100])
+@pytest.mark.parametrize("c,d", list(itertools.product(range(4), repeat=2)))
+def test_stage2_matches_literal_oracle(c, d, order):
+    assert _chain_stage2(c, d, order).coeffs == literal_stage2(c, d, order).coeffs
 
 
 @pytest.mark.parametrize(

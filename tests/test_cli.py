@@ -80,6 +80,13 @@ def test_fact4_order_above_cap_is_usage_error(capsys):
     assert f"must not exceed {cli.FACT4_MAX_ORDER}" in err
 
 
+def test_chain_order_above_cap_is_usage_error(capsys):
+    argv = ["verify", "chain", "--c", "0", "--d", "0", "--trunc", str(cli.CHAIN_MAX_ORDER + 1)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"must not exceed {cli.CHAIN_MAX_ORDER}" in err
+
+
 @pytest.mark.parametrize(
     "m, n",
     [
@@ -91,6 +98,20 @@ def test_fact3_area_above_cap_is_usage_error(capsys, m, n):
     code, out, err = invoke(capsys, "verify", "fact", "--id", "3", "--m", str(m), "--n", str(n))
     assert code == 2 and out == ""
     assert f"must not exceed {cli.FACT3_MAX_AREA}" in err
+
+
+@pytest.mark.parametrize(
+    "m, n",
+    [
+        (1, cli.GAUSS_MAX_AREA + 1),  # the product
+        (cli.GAUSS_MAX_AREA + 1, 0),  # a side, with an empty box
+        (0, 2_000_000),
+    ],
+)
+def test_gauss_area_above_cap_is_usage_error(capsys, m, n):
+    code, out, err = invoke(capsys, "series", "gauss", "--m", str(m), "--n", str(n), "--trunc", "0")
+    assert code == 2 and out == ""
+    assert f"must not exceed {cli.GAUSS_MAX_AREA}" in err
 
 
 def test_fact3_box_partitions_above_cap_is_usage_error(capsys):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hookpart import partitions
+from hookpart import partitions, qseries
 from hookpart.qseries import (
     QSeries,
     VerifyReport,
@@ -13,6 +15,7 @@ from hookpart.qseries import (
     lemma_rhs,
     make_monomial,
     one,
+    partial_euler_inv,
     q_pochhammer,
     verify_fact1,
     verify_fact2,
@@ -267,6 +270,30 @@ def test_euler_inv_counts_partitions():
     assert ten.coefficient(10) == len(list(partitions.partitions_of(10))) == 42
 
 
+@pytest.mark.parametrize("ms", [range(41), range(40, -1, -1)], ids=["ascending", "descending"])
+@pytest.mark.parametrize("order", [0, 1, 7, 60])
+def test_partial_euler_inv_matches_inverted_product(order, ms):
+    # a fresh family, grown in one step (descending) or one m at a time
+    qseries._partial_euler_family.cache_clear()
+    for m in ms:
+        assert partial_euler_inv(m, order) == q_pochhammer(1, m, order).invert(), m
+
+
+def test_partial_euler_inv_deep_family():
+    # m reaches the order: the family is grown by a loop, not recursion
+    try:
+        deep = partial_euler_inv(1500, 1500)
+        assert deep == euler_inv(1500)
+        assert partial_euler_inv(2000, 1500) is deep
+    finally:
+        qseries._partial_euler_family.cache_clear()
+
+
+def test_partial_euler_inv_rejects_negative_m():
+    with pytest.raises(ValueError):
+        partial_euler_inv(-1, 5)
+
+
 def gauss_poly_recursive(m, n):
     """Exact m-by-n box enumerator by the recursive corner recurrence,
     degree m*n: F(m,n) = q^n * F(m-1,n) + F(m,n-1), F(0,n) = F(m,0) = 1."""
@@ -293,6 +320,20 @@ def test_gauss_binomial_small():
     assert gauss_binomial(0, 5, 0).coeffs == (1,)
     assert gauss_binomial(1, 1, 1).coeffs == (1, 1)
     assert gauss_binomial(2, 2, 4).coeffs == (1, 1, 2, 1, 1)
+
+
+@pytest.mark.parametrize("m,n", [(0, 20_000), (20_000, 0), (1, 10_000)])
+def test_gauss_binomial_keeps_the_shorter_side(m, n):
+    # one list per column of the shorter side: a long empty or thin box
+    # holds a handful of lists, not one per column of the long side
+    tracemalloc.start()
+    try:
+        series = gauss_binomial(m, n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.coeffs == ((1, 0, 0, 0) if 0 in (m, n) else (1, 1, 1, 1))
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("m", range(7))
