@@ -12,13 +12,15 @@ whose closed form is q^(c+d+1) / ((1 - q^(c+d+1)) (q)_inf).
 over corners is collapsed step by step (inner sum first, then the outer
 one), each stage evaluated by its own code path, and all five stages are
 compared coefficient-wise.  Stages 0-2 each build their own row summands
-and share one evaluation of the outer sum over the rows, ``_outer_sum``;
-stages 3 and 4 and ``qseries.lemma_rhs`` never call it, so a fault in it
-shows as a stage mismatch.
+and evaluate the outer sum over the rows by ``qseries.euler_sum``, which
+stage 0 also uses for its inner sums; stage 1's tails, stages 3 and 4
+and ``qseries.lemma_rhs`` never call it, so a fault in it shows as a
+stage mismatch.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator, NamedTuple
 
 from hookpart import statistics
@@ -28,13 +30,13 @@ from hookpart.qseries import (
     VerifyReport,
     compare_counts,
     compare_series,
+    euler_sum,
     gauss_binomial,
     lemma_rhs,
     make_monomial,
     one,
     partial_euler_inv,
     q_pochhammer,
-    zero,
 )
 
 
@@ -152,6 +154,7 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
         n <= n_max.
     (b) Summed over all corners, the coefficients must reproduce the
         (c, d) count of the arm-leg filling for all n <= n_max.
+    Each series is built to order n_max only, whatever ``order`` is.
     """
     _check_corner_args(c, d, 0, 0)
     if n_max > order:
@@ -170,7 +173,7 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
         )
     summed = [0] * (n_max + 1)
     for i, j in placements:
-        series = anatomy_gf(c, d, i, j, order)
+        series = anatomy_gf(c, d, i, j, n_max)
         for n, counts in enumerate(brute):
             coeff = series.coefficient(n)
             expected = counts.get((i, j), 0)
@@ -217,33 +220,10 @@ def _euler_box_head(c: int, d: int, order: int) -> QSeries:
     )
 
 
-def _corner_rows(c: int, d: int, order: int) -> dict[int, list[int]]:
-    """``corner_placements`` up to the series order, as row i -> its j's.
-    The rows are 0, 1, ..., I, with no gaps."""
-    rows: dict[int, list[int]] = {}
-    for i, j in corner_placements(c, d, order):
-        rows.setdefault(i, []).append(j)
-    return rows
-
-
-def _outer_sum(c: int, summands: list[QSeries], order: int) -> QSeries:
-    """sum_i q^(i(c+1)) / (q)_i * R_i over the rows i = 0..I, R_i = summands[i].
-
-    The outer sum of stages 0-2, nested from the top row:
-    A_I = R_I and A_i = R_i + q^(c+1) * A_(i+1) / (1 - q^(i+1)), so that
-    A_0 is the sum.  Each row costs one in-place division by a two-term
-    factor (e ascending, so acc[e - k] already holds the quotient) and
-    one shift: O(order) per row, with no dense product.
-    """
-    shift = c + 1
-    acc = [0] * (order + 1)
-    for i in range(len(summands) - 1, -1, -1):
-        k = i + 1
-        for e in range(k, order + 1):
-            acc[e] += acc[e - k]
-        row = summands[i].coeffs
-        acc = list(row[:shift]) + [r + a for r, a in zip(row[shift:], acc)]
-    return QSeries(acc)
+def _corner_rows(c: int, d: int, order: int) -> list[int]:
+    """``corner_placements`` up to the series order, as the width of each
+    row i = 0, 1, ..., I: row i holds the corners (i, 0), ..., (i, width - 1)."""
+    return list(Counter(i for i, _ in corner_placements(c, d, order)).values())
 
 
 def _chain_stage0(c: int, d: int, order: int) -> QSeries:
@@ -251,16 +231,15 @@ def _chain_stage0(c: int, d: int, order: int) -> QSeries:
 
     (q)_{c+d} / ((q)_c (q)_d) * q^(c+d+1)
         * sum_i q^(i(c+1)) / (q)_i * sum_j q^(j(i+d+1)) / (q)_j
-    with the inner sum over j kept explicit, one series per row i, and the
-    outer sum over i by ``_outer_sum``.
+    with both sums by ``euler_sum``: the inner sum over the j's of row i,
+    one series per row, then the outer sum over i.
     """
-    rows = []
-    for i, columns in _corner_rows(c, d, order).items():
-        row = zero(order)
-        for j in columns:
-            row = row + make_monomial(j * (i + d + 1), order) * partial_euler_inv(j, order)
-        rows.append(row)
-    return _box_prefactor(c, d, order) * _outer_sum(c, rows, order)
+    unit = one(order)
+    rows = [
+        euler_sum(i + d + 1, [unit] * width, order)
+        for i, width in enumerate(_corner_rows(c, d, order))
+    ]
+    return _box_prefactor(c, d, order) * euler_sum(c + 1, rows, order)
 
 
 def _chain_stage1(c: int, d: int, order: int) -> QSeries:
@@ -272,15 +251,15 @@ def _chain_stage1(c: int, d: int, order: int) -> QSeries:
     The tail 1/(q^(d+i+1))_inf is inverted once, for row 0; each later
     row multiplies the previous row's tail by the two-term factor
     (1 - q^(d+i)), in O(order), since (q^(d+i))_inf = (1 - q^(d+i)) (q^(d+i+1))_inf.
-    The outer sum over i is ``_outer_sum``'s.
+    The outer sum over i is ``euler_sum``'s.
     """
     tails = []
     tail = q_pochhammer(d + 1, None, order).invert()
-    for i in _corner_rows(c, d, order):
+    for i in range(len(_corner_rows(c, d, order))):
         if i:
             tail = (one(order) - make_monomial(d + i, order)) * tail
         tails.append(tail)
-    return _box_prefactor(c, d, order) * _outer_sum(c, tails, order)
+    return _box_prefactor(c, d, order) * euler_sum(c + 1, tails, order)
 
 
 def _chain_stage2(c: int, d: int, order: int) -> QSeries:
@@ -292,11 +271,12 @@ def _chain_stage2(c: int, d: int, order: int) -> QSeries:
     where each row's (q)_{i+d} is a literal ``q_pochhammer`` product of
     i+d two-term factors, and only it: the i-independent 1/(q)_d is taken
     out of the sum into the head, and q^(i(c+1)) / (q)_i is applied by
-    ``_outer_sum``.
+    ``euler_sum``.
     """
-    products = [q_pochhammer(1, i + d, order) for i in _corner_rows(c, d, order)]
+    rows = range(len(_corner_rows(c, d, order)))
+    products = [q_pochhammer(1, i + d, order) for i in rows]
     head = _euler_box_head(c, d, order) * partial_euler_inv(d, order)
-    return head * _outer_sum(c, products, order)
+    return head * euler_sum(c + 1, products, order)
 
 
 def _chain_stage3(c: int, d: int, order: int) -> QSeries:

@@ -52,8 +52,19 @@ GAUSS_MAX_AREA = 10**4
 
 # the chain's stage 2 builds a literal (q)_{i+d} for each of about --trunc
 # rows, so its cost grows like the cube of the order: c = d = 0, the
-# slowest split, takes 3.0 s at order 500 and 9.6 s at 700 on one 2-core host
+# slowest split, takes 3.7-4.0 s at order 500 and 10.4-11.8 s at 700 on one
+# 2-core host
 CHAIN_MAX_ORDER = 700
+
+# `series euler-inv`, `series lemma-rhs` and `verify fact --id 2` cost about
+# the square of --trunc; at the limit, on one 2-core host, they take 2.4 s,
+# 5.4 s (c = d = 0, the densest split) and 5.8 s (k = 1, the most terms)
+SERIES_MAX_ORDER = 6000
+
+# fact 1 builds an a-by-j Gaussian binomial per j <= trunc/k, about
+# a * trunc^3 / 2 steps at k = 1: 6.4 s at both limits, 9.1 s at a = 10, order 300
+FACT1_MAX_A = 20
+FACT1_MAX_ORDER = 200
 
 
 def _nonneg(text: str) -> int:
@@ -393,6 +404,8 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
                 f"gauss: --m ({args.m}), --n ({args.n}) and their product "
                 f"must not exceed {GAUSS_MAX_AREA}"
             )
+    if args.command == "series" and args.kind != "gauss" and args.trunc > SERIES_MAX_ORDER:
+        parser.error(f"{args.kind}: --trunc ({args.trunc}) must not exceed {SERIES_MAX_ORDER}")
     if args.command != "verify":
         return
     if args.check == "fact":
@@ -400,6 +413,11 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         if missing:
             flags = ", ".join("--" + name for name in missing)
             parser.error(f"fact {args.fact_id} requires {flags}")
+        cap = {1: FACT1_MAX_ORDER, 2: SERIES_MAX_ORDER, 4: FACT4_MAX_ORDER}.get(args.fact_id)
+        if cap is not None and args.trunc > cap:
+            parser.error(f"fact {args.fact_id}: --trunc ({args.trunc}) must not exceed {cap}")
+        if args.fact_id == 1 and args.a > FACT1_MAX_A:
+            parser.error(f"fact 1: --a ({args.a}) must not exceed {FACT1_MAX_A}")
         if args.fact_id == 3:
             if max(args.m, args.n, args.m * args.n) > FACT3_MAX_AREA:
                 parser.error(
@@ -411,8 +429,6 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
                     f"fact 3: the {args.m}x{args.n} box holds C({args.m + args.n}, {args.m}) "
                     f"partitions, more than {FACT3_MAX_BOX_PARTITIONS}"
                 )
-        if args.fact_id == 4 and args.trunc > FACT4_MAX_ORDER:
-            parser.error(f"fact 4: --trunc ({args.trunc}) must not exceed {FACT4_MAX_ORDER}")
     elif args.check in ("lemma", "anatomy") and args.n_max > args.trunc:
         parser.error(f"n_max ({args.n_max}) must not exceed the series order ({args.trunc})")
     elif args.check == "chain" and args.trunc > CHAIN_MAX_ORDER:

@@ -241,35 +241,41 @@ def euler_inv(order: int) -> QSeries:
     return q_pochhammer(1, None, order).invert()
 
 
-@lru_cache(maxsize=8)
-def _partial_euler_family(order: int) -> list[QSeries]:
-    """[1/(q)_0, 1/(q)_1, ...] at one order, as far as ``partial_euler_inv``
-    has grown it.  The list stays private; its members are immutable."""
-    return [one(order)]
-
-
 def partial_euler_inv(m: int, order: int) -> QSeries:
     """1/(q)_m = 1/((1-q)(1-q^2)...(1-q^m)): partitions with parts <= m,
     or with at most m parts.
 
-    1/(q)_m is built from 1/(q)_(m-1) by one in-place division by the
-    two-term factor (1 - q^m): b[e] += b[e - m] with e ascending, so that
-    b[e - m] already holds the quotient.  Each new m costs O(order).  The
-    family is kept per order (for the last few orders) and grown by a
-    loop, since m reaches the order.  Factors with m > order are 1 to this
-    precision, so beyond the order the family ends at 1/(q)_order.
+    Starting from 1, each factor (1 - q^k) is divided out in place:
+    b[e] += b[e - k] with e ascending, so that b[e - k] already holds the
+    quotient.  Each factor costs O(order); factors with k > order are 1
+    to this precision, so at most min(m, order) of them are divided out.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    family = _partial_euler_family(order)
-    top = min(m, order)
-    if top >= len(family):
-        coeffs = list(family[-1].coeffs)
-        for k in range(len(family), top + 1):
-            for e in range(k, order + 1):
-                coeffs[e] += coeffs[e - k]
-            family.append(QSeries(coeffs))
-    return family[top]
+    coeffs = [1] + [0] * order
+    for k in range(1, min(m, order) + 1):
+        for e in range(k, order + 1):
+            coeffs[e] += coeffs[e - k]
+    return QSeries(coeffs)
+
+
+def euler_sum(shift: int, summands: Sequence[QSeries], order: int) -> QSeries:
+    """sum_j q^(j*shift) / (q)_j * R_j over j = 0..J-1, R_j = summands[j].
+
+    The one evaluator of such sums: fact 2's right side and the proof
+    chain's inner and outer sums.  Nested from the last term, A_J = 0 and
+    A_j = R_j + q^shift * A_(j+1) / (1 - q^(j+1)), so that A_0 is the sum:
+    per term one in-place division by a two-term factor (e ascending, so
+    acc[e - k] already holds the quotient) and one shift, O(order).
+    """
+    acc = [0] * (order + 1)
+    for j in range(len(summands) - 1, -1, -1):
+        k = j + 1
+        for e in range(k, order + 1):
+            acc[e] += acc[e - k]
+        row = summands[j].coeffs
+        acc = list(row[:shift]) + [r + a for r, a in zip(row[shift:], acc)]
+    return QSeries(acc)
 
 
 def gauss_binomial(m: int, n: int, order: int) -> QSeries:
@@ -370,16 +376,13 @@ def verify_fact1(a: int, k: int, order: int) -> VerifyReport:
 def verify_fact2(k: int, order: int) -> VerifyReport:
     """Check 1/(z)_inf = sum_j z^j/(q)_j at z = q^k.
 
-    Left side: the inverted infinite product (q^k)_inf.  Right side: each
-    1/(q)_j from ``partial_euler_inv``, which divides by one two-term
-    factor per j, so the two sides share no inversion.
+    Left side: the inverted infinite product (q^k)_inf.  Right side:
+    ``euler_sum`` with every R_j = 1, which divides by one two-term factor
+    per j, so the two sides share no inversion.  This fact is the check
+    of ``euler_sum`` itself, the kernel behind chain stages 0-2.
     """
     if k < 1:
         raise ValueError("specialization exponent k must be >= 1")
     lhs = q_pochhammer(k, None, order).invert()
-    rhs = zero(order)
-    j = 0
-    while k * j <= order:
-        rhs = rhs + make_monomial(k * j, order) * partial_euler_inv(j, order)
-        j += 1
+    rhs = euler_sum(k, [one(order)] * (order // k + 1), order)
     return compare_series(f"fact2(k={k}, order={order})", lhs, rhs)

@@ -281,14 +281,14 @@ def verify_lemma(c: int, d: int, stat: str, n_max: int, order: int) -> VerifyRep
     """Check brute pair counts against the closed-form series.
 
     For every 0 <= n <= n_max, the count of (c, d) in the chosen filling
-    must equal the coefficient of q^n in
-    q^(c+d+1) / ((1 - q^(c+d+1)) (q)_inf).
+    must equal the coefficient of q^n in q^(c+d+1) / ((1 - q^(c+d+1)) (q)_inf),
+    which is built to order n_max only, whatever ``order`` is.
     """
     _check_pair_stat(stat)
     if n_max > order:
         raise ValueError(f"n_max ({n_max}) must not exceed the series order ({order})")
     context = f"lemma(c={c}, d={d}, stat={stat}, n_max={n_max})"
-    rhs = lemma_rhs(c, d, order)
+    rhs = lemma_rhs(c, d, n_max)
     return compare_counts(
         context,
         {n: rhs.coefficient(n) for n in range(n_max + 1)},

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hookpart
-from hookpart import cli, explorer, statistics
+from hookpart import anatomy, cli, explorer, statistics
 from hookpart.cli import run
 from hookpart.explorer import IdentityViolation, canonical_matching
 from hookpart.qseries import euler_inv
@@ -88,6 +88,22 @@ def test_chain_order_above_cap_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, cap",
+    [
+        ("series euler-inv --trunc {}", cli.SERIES_MAX_ORDER),
+        ("series lemma-rhs --c 0 --d 0 --trunc {}", cli.SERIES_MAX_ORDER),
+        ("verify fact --id 2 --k 1 --trunc {}", cli.SERIES_MAX_ORDER),
+        ("verify fact --id 1 --a 2 --k 1 --trunc {}", cli.FACT1_MAX_ORDER),
+        ("verify fact --id 1 --a {} --k 1 --trunc 12", cli.FACT1_MAX_A),
+    ],
+)
+def test_series_and_fact1_caps_are_usage_errors(capsys, argv, cap):
+    code, out, err = invoke(capsys, *argv.format(cap + 1).split())
+    assert code == 2 and out == ""
+    assert f"must not exceed {cap}" in err
+
+
+@pytest.mark.parametrize(
     "m, n",
     [
         (1, cli.FACT3_MAX_AREA + 1),  # the product
@@ -139,6 +155,28 @@ def test_anatomy_range_usage_error(capsys):
     code, _, err = invoke(capsys, *"verify anatomy --c 0 --d 0 --n-max 9 --trunc 5".split())
     assert code == 2
     assert "n_max" in err
+
+
+@pytest.mark.parametrize(
+    "module, name, argv",
+    [
+        (statistics, "lemma_rhs", "verify lemma --stat arm-leg --c 1 --d 0 --n-max 12"),
+        (anatomy, "anatomy_gf", "verify anatomy --c 1 --d 0 --n-max 12"),
+    ],
+)
+def test_series_built_only_to_n_max(capsys, monkeypatch, module, name, argv):
+    # only coefficients up to --n-max are read, so a larger --trunc builds nothing more
+    built = getattr(module, name)
+    orders = []
+
+    def recording(*args):
+        orders.append(args[-1])
+        return built(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    wide, narrow = (invoke(capsys, *argv.split(), "--trunc", trunc) for trunc in ("400", "30"))
+    assert wide == narrow and wide[0] == 0
+    assert set(orders) == {12}
 
 
 def _zero_division(n):

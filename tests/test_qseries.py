@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -273,25 +274,34 @@ def test_euler_inv_counts_partitions():
 @pytest.mark.parametrize("ms", [range(41), range(40, -1, -1)], ids=["ascending", "descending"])
 @pytest.mark.parametrize("order", [0, 1, 7, 60])
 def test_partial_euler_inv_matches_inverted_product(order, ms):
-    # a fresh family, grown in one step (descending) or one m at a time
-    qseries._partial_euler_family.cache_clear()
+    # each m built afresh, in either order
     for m in ms:
         assert partial_euler_inv(m, order) == q_pochhammer(1, m, order).invert(), m
 
 
 def test_partial_euler_inv_deep_family():
-    # m reaches the order: the family is grown by a loop, not recursion
-    try:
-        deep = partial_euler_inv(1500, 1500)
-        assert deep == euler_inv(1500)
-        assert partial_euler_inv(2000, 1500) is deep
-    finally:
-        qseries._partial_euler_family.cache_clear()
+    # m reaches the order: 1/(q)_m is built by a loop, not recursion
+    deep = partial_euler_inv(1500, 1500)
+    assert deep == euler_inv(1500)
+    assert partial_euler_inv(2000, 1500) == deep
 
 
 def test_partial_euler_inv_rejects_negative_m():
     with pytest.raises(ValueError):
         partial_euler_inv(-1, 5)
+
+
+@pytest.mark.parametrize("shift", [1, 2, 3, 4, 41])  # 41: above every order
+@pytest.mark.parametrize("order", [0, 1, 7, 40])
+def test_euler_sum_matches_literal_sum(order, shift):
+    rng = random.Random(order * 10 + shift)
+    for terms in range(7):
+        summands = [QSeries([rng.randint(-3, 3) for _ in range(order + 1)]) for _ in range(terms)]
+        literal = zero(order)
+        for j, r in enumerate(summands):
+            term = make_monomial(j * shift, order) * q_pochhammer(1, j, order).invert()
+            literal = literal + term * r
+        assert qseries.euler_sum(shift, summands, order) == literal, terms
 
 
 def gauss_poly_recursive(m, n):
