@@ -15,12 +15,11 @@ import contextlib
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import os
 import sys
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from hookpart import anatomy, explorer, qseries, statistics
 from hookpart.qseries import VerifyReport
@@ -65,6 +64,17 @@ SERIES_MAX_ORDER = 6000
 # a * trunc^3 / 2 steps at k = 1: 6.4 s at both limits, 9.1 s at a = 10, order 300
 FACT1_MAX_A = 20
 FACT1_MAX_ORDER = 200
+
+# theorem1, identity1, lemma and anatomy enumerate every partition of every
+# n <= --n-max, and multiset every partition of --n, about 6x the cost per
+# +10: at the limit the slowest, `verify anatomy --c 0 --d 0`, takes 6.9-7.7 s
+# on one 2-core host, while theorem1 at --jobs 1 took 10.6 s at 50
+ENUM_MAX_N = 45
+
+# `match` holds four ints for each of the n * p(n) cells of --n and writes
+# a row for each: at the limit each format takes 5.3-5.9 s with a peak RSS
+# of 52 MB on one 2-core host (0.7-0.8 s and 20.5 MB at n = 30)
+MATCH_MAX_N = 40
 
 
 def _nonneg(text: str) -> int:
@@ -248,28 +258,30 @@ def _render_multiset(n: int, stat: str, pm: statistics.PairMultiset, fmt: str) -
     return "\n".join(lines)
 
 
-def _joined(sep: str, rows: Iterable[str]) -> str:
-    """``sep.join(rows)``, joined 4096 rows at a time: only one batch of
-    row strs is alive at once, not one str per row of the whole output."""
-    rows = iter(rows)
-    batches = []
-    while batch := list(itertools.islice(rows, 4096)):
-        batches.append(sep.join(batch))
-    return sep.join(batches)
-
-
-def _render_matching(matching: explorer.Matching, fmt: str) -> str:
-    # one %-template per format over the six ints of the joined refs
+def _render_matching(table: explorer.MatchingTable, fmt: str) -> Iterator[str]:
+    """The matching's text in pieces, straight from the table's columns:
+    4096 rows a piece, one %-template per format over each row's six ints,
+    so only one piece's row strs are alive at once."""
     if fmt == "json":
         # every value is an int, so this is json.dumps(..., sort_keys=True) text
-        template = '{"dst": [%s, %s, %s], "src": [%s, %s, %s]}'
-        pairs = _joined(", ", map(template.__mod__, (dst + src for src, dst in matching.pairs)))
-        return f'{{"n": {matching.n}, "pairs": [{pairs}]}}'
-    rows = (src + dst for src, dst in matching.pairs)
-    if fmt == "csv":
-        header = "src_partition,src_row,src_col,dst_partition,dst_row,dst_col"
-        return _joined("\n", itertools.chain([header], map("%s,%s,%s,%s,%s,%s".__mod__, rows)))
-    return _joined("\n", map("(%s,%s,%s) -> (%s,%s,%s)".__mod__, rows))
+        template, sep = '{"dst": [%s, %s, %s], "src": [%s, %s, %s]}', ", "
+        yield f'{{"n": {table.n}, "pairs": ['
+    elif fmt == "csv":
+        template, sep = "%s,%s,%s,%s,%s,%s", "\n"
+        yield "src_partition,src_row,src_col,dst_partition,dst_row,dst_col"
+    else:
+        template, sep = "(%s,%s,%s) -> (%s,%s,%s)", "\n"
+    columns = (table.partition, table.row, table.col)
+    for start in range(0, len(table.target), 4096):
+        if start or fmt == "csv":
+            yield sep
+        stop = start + 4096
+        src = [column[start:stop] for column in columns]
+        dst = [map(column.__getitem__, table.target[start:stop]) for column in columns]
+        rows = zip(*dst, *src) if fmt == "json" else zip(*src, *dst)
+        yield sep.join(map(template.__mod__, rows))
+    if fmt == "json":
+        yield "]}"
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +324,13 @@ def _map_ordered(fn: Callable[[int], VerifyReport], items: Sequence[int], jobs: 
     return [fn(n) for n in items]
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-    else:
-        print(text)
+def _emit(pieces: Iterable[str], out_path: Optional[str]) -> None:
+    """Write the pieces, then a newline, to out_path or to stdout, one
+    piece at a time."""
+    target = open(out_path, "w", encoding="utf-8") if out_path else contextlib.nullcontext(sys.stdout)
+    with target as handle:
+        handle.writelines(pieces)
+        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +359,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:  # chain
         reports = [anatomy.proof_chain(args.c, args.d, args.trunc)]
     text, code = _render_reports(reports, args.format, extras)
-    _emit(text, args.out)
+    _emit((text,), args.out)
     return code
 
 
@@ -371,20 +384,20 @@ def _cmd_series(args: argparse.Namespace) -> int:
     else:
         series = qseries.lemma_rhs(args.c, args.d, args.trunc)
         label = f"lemma-rhs(c={args.c}, d={args.d})"
-    _emit(_render_series(label, series, args.format), args.out)
+    _emit((_render_series(label, series, args.format),), args.out)
     return 0
 
 
 def _cmd_multiset(args: argparse.Namespace) -> int:
     pm = statistics.build_pair_multiset(args.n, args.stat)
-    _emit(_render_multiset(args.n, args.stat, pm, args.format), args.out)
+    _emit((_render_multiset(args.n, args.stat, pm, args.format),), args.out)
     return 0
 
 
-@explorer._without_cyclic_gc  # one pause over build, render and emit
+@explorer._without_cyclic_gc  # one pause over build, render and writes
 def _cmd_match(args: argparse.Namespace) -> int:
-    matching = explorer.canonical_matching(args.n)
-    _emit(_render_matching(matching, args.format), args.out)
+    table = explorer.matching_table(args.n)
+    _emit(_render_matching(table, args.format), args.out)
     return 0
 
 
@@ -406,6 +419,10 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             )
     if args.command == "series" and args.kind != "gauss" and args.trunc > SERIES_MAX_ORDER:
         parser.error(f"{args.kind}: --trunc ({args.trunc}) must not exceed {SERIES_MAX_ORDER}")
+    if args.command == "multiset" and args.n > ENUM_MAX_N:
+        parser.error(f"multiset: --n ({args.n}) must not exceed {ENUM_MAX_N}")
+    if args.command == "match" and args.n > MATCH_MAX_N:
+        parser.error(f"match: --n ({args.n}) must not exceed {MATCH_MAX_N}")
     if args.command != "verify":
         return
     if args.check == "fact":
@@ -433,6 +450,8 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         parser.error(f"n_max ({args.n_max}) must not exceed the series order ({args.trunc})")
     elif args.check == "chain" and args.trunc > CHAIN_MAX_ORDER:
         parser.error(f"chain: --trunc ({args.trunc}) must not exceed {CHAIN_MAX_ORDER}")
+    if getattr(args, "n_max", 0) > ENUM_MAX_N:  # every --n-max is an enumeration range
+        parser.error(f"{args.check}: --n-max ({args.n_max}) must not exceed {ENUM_MAX_N}")
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

@@ -9,11 +9,14 @@ be inspected for patterns, and validates arbitrary candidate matchings.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import gc
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, ParamSpec, TypeVar
+from itertools import accumulate
+from typing import Any, Callable, NamedTuple, ParamSpec, TypeVar
 
 from hookpart.partitions import cells, partitions_of
 from hookpart.qseries import VerifyReport, compare_counts
@@ -50,19 +53,19 @@ def _without_cyclic_gc(fn: Callable[_P, _R]) -> Callable[_P, _R]:
     ``util.nogc`` pattern), restoring on exit the state it found, so a
     caller that had it off keeps it off.
 
-    This is safe for the builds below: they allocate only ``CellRef``s,
-    tuples, lists and dicts of ints, and nothing refers back, so no cycle
-    can form and reference counting frees everything exactly as before.
-    In place of the hundreds of collections that would run during a build
-    and reclaim nothing, the collector's next run, after fn returns,
-    traverses the survivors once.
+    This is safe for the functions wrapped here: they allocate only
+    ``CellRef``s, tuples, lists, arrays and dicts of ints, and nothing
+    refers back, so no cycle can form and reference counting frees
+    everything exactly as before.  In place of the collections that would
+    run during ``canonical_matching``'s tuple of ``CellRef`` pairs or
+    ``verify_matching``'s lists of refs and reclaim nothing, the
+    collector's next run, after fn returns, traverses the survivors once.
 
-    ``cli._cmd_match`` is wrapped too, so that one pause spans build,
-    render and emit, and that next run comes after the matching is
-    freed, not in rendering.  Rendering is safe inside the pause: it makes
-    only strs, which the collector does not track, and temporaries that
-    reference counting frees.  Nested pauses are safe, since each restores
-    the state it found.
+    ``cli._cmd_match`` is wrapped too, so that one pause spans the table's
+    build, the render and the writes.  What it keeps is arrays and strs,
+    which the collector does not track, and its temporaries are freed by
+    reference counting.  Nested pauses are safe, since each restores the
+    state it found.
     """
 
     @functools.wraps(fn)
@@ -78,33 +81,47 @@ def _without_cyclic_gc(fn: Callable[_P, _R]) -> Callable[_P, _R]:
     return paused
 
 
-@_without_cyclic_gc
-def canonical_matching(n: int) -> Matching:
-    """Build the reference matching for weight n.
+class MatchingTable(NamedTuple):
+    """The canonical matching of weight n as flat columns.
+
+    Cells are numbered by their position in enumeration order, which is
+    sorted ``CellRef`` order: cell k is ``CellRef(partition[k], row[k],
+    col[k])``, and source k is paired with target ``target[k]``.  Each
+    column is an ``array('i')``: four ints per cell and no per-cell object.
+    """
+
+    n: int
+    partition: array
+    row: array
+    col: array
+    target: array
+
+
+def matching_table(n: int) -> MatchingTable:
+    """Build the reference matching for weight n as a ``MatchingTable``.
 
     Sources are keyed by (arm, left) and targets by (arm, leg); inside
-    each key the k-th source, in (partition_index, row, col) order, is
-    paired with the k-th target in that order.  Cells are enumerated in
-    exactly that order, so one pass collects the sources already sorted
-    and the targets already grouped, and the pairs come out sorted by
-    source with no sort: O(cells) after enumeration.  Any order inside a
-    group would be valid; fixing this one makes runs diffable.
+    each key the k-th source, in enumeration order, is paired with the
+    k-th target in that order.  One pass over the cells fills the columns
+    and groups the targets by key, already sorted, so the pairing needs no
+    sort: O(cells) after enumeration.  Any order inside a group would be
+    valid; fixing this one makes runs diffable.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     # arm, left and leg are all below n, so the key (a, b) is coded as the
     # int a * stride + b: ints sort like the tuples and cost no allocation
     stride = n + 1
-    sources: list[CellRef] = []
-    source_keys: list[int] = []
-    targets: defaultdict[int, list[CellRef]] = defaultdict(list)
+    partition, rows, cols, source_keys = array("i"), array("i"), array("i"), array("i")
+    targets: defaultdict[int, array] = defaultdict(functools.partial(array, "i"))
     for index, parts in enumerate(partitions_of(n)):
         for (row, col), stats in cells(parts):
-            # CellRef's own __new__ is a Python-level wrapper around this call
-            ref = tuple.__new__(CellRef, (index, row, col))
-            sources.append(ref)
+            # the cell's position is the count of cells before it
+            targets[stats.arm * stride + stats.leg].append(len(source_keys))
+            partition.append(index)
+            rows.append(row)
+            cols.append(col)
             source_keys.append(stats.arm * stride + stats.left)
-            targets[stats.arm * stride + stats.leg].append(ref)
     target_counts = {key: len(group) for key, group in targets.items()}
     sizes = compare_counts(f"matching(n={n})", Counter(source_keys), target_counts)
     if not sizes.passed:
@@ -114,7 +131,39 @@ def canonical_matching(n: int) -> Matching:
             f"{disc.expected} arm-left cells vs {disc.actual} arm-leg cells"
         )
     next_target = {key: iter(group).__next__ for key, group in targets.items()}
-    return Matching(n=n, pairs=tuple(zip(sources, [next_target[key]() for key in source_keys])))
+    target = array("i", (next_target[key]() for key in source_keys))
+    return MatchingTable(n, partition, rows, cols, target)
+
+
+@_without_cyclic_gc
+def canonical_matching(n: int) -> Matching:
+    """The reference matching for weight n, as ``CellRef`` pairs sorted by
+    source: ``matching_table(n)`` with each position made a ``CellRef``."""
+    table = matching_table(n)
+    # CellRef's own __new__ is a Python-level wrapper around this call
+    refs = [tuple.__new__(CellRef, cell) for cell in zip(table.partition, table.row, table.col)]
+    return Matching(n=n, pairs=tuple(zip(refs, map(refs.__getitem__, table.target))))
+
+
+def _row_starts(n: int) -> list[tuple[int, ...]]:
+    """For each partition of n, in enumeration order, the positions at
+    which its rows start, then the position after its last cell.  Every
+    partition of n has n cells, so partition i starts at i * n."""
+    return [
+        tuple(accumulate(parts, initial=index * n)) for index, parts in enumerate(partitions_of(n))
+    ]
+
+
+def _position(row_starts: list[tuple[int, ...]], ref: Any) -> int:
+    """The position of ref in enumeration order, or -1 if it is no cell:
+    its partition's first-cell offset, plus the lengths of the rows above,
+    plus col - 1."""
+    index, row, col = ref
+    if 0 <= index < len(row_starts):
+        starts = row_starts[index]
+        if 0 < row < len(starts) and 0 < col <= starts[row] - starts[row - 1]:
+            return starts[row - 1] + col - 1
+    return -1
 
 
 @_without_cyclic_gc
@@ -126,34 +175,46 @@ def verify_matching(matching: Matching) -> VerifyReport:
     cell, as ``(side, ref)``, that is no cell of n, is used more than once
     or is never used, with its expected and actual use counts.  Transport:
     for every pair, the source's (arm, left) equals the target's (arm, leg).
+    Both checks run on cell positions in enumeration order: each ref is
+    placed by arithmetic (``_position``), and the statistics are columns.
     """
     n = matching.n
     context = f"matching(n={n}, pairs={len(matching.pairs)})"
-    stats_by_ref: dict[CellRef, tuple[int, int, int]] = {}
-    for index, parts in enumerate(partitions_of(n)):
-        for (row, col), stats in cells(parts):
-            ref = tuple.__new__(CellRef, (index, row, col))
-            stats_by_ref[ref] = (stats.arm, stats.leg, stats.left)
+    arm, leg, left = array("i"), array("i"), array("i")
+    for parts in partitions_of(n):
+        for _, stats in cells(parts):
+            arm.append(stats.arm)
+            leg.append(stats.leg)
+            left.append(stats.left)
+    row_starts = _row_starts(n)
+    position = functools.partial(_position, row_starts)
 
-    universe = list(stats_by_ref)  # enumeration order is sorted CellRef order
+    places = []
     for column, side in enumerate(("sources", "targets")):
-        refs = sorted(pair[column] for pair in matching.pairs)
-        if refs != universe:
+        refs = [pair[column] for pair in matching.pairs]
+        place = list(map(position, refs))
+        placed = sorted(place)
+        if placed != list(range(len(arm))):
             uses = Counter(refs)
-            valid = {ref: int(ref in stats_by_ref) for ref in uses}
+            valid = {ref: int(position(ref) >= 0) for ref in uses}
             report = compare_counts(context, valid, uses, side)
             if report.passed:
-                report = compare_counts(context, dict.fromkeys(universe, 1), uses, side)
+                # every ref is a distinct cell of n, so the first gap in
+                # the sorted positions is the smallest unused cell
+                unused = next((k for k, at in enumerate(placed) if at != k), len(placed))
+                index = unused // n
+                row = bisect.bisect(row_starts[index], unused)
+                ref = CellRef(index, row, unused - row_starts[index][row - 1] + 1)
+                report = VerifyReport.failure(context, where=(side, ref), expected=1, actual=0)
             return report
+        places.append(place)
 
-    for src, dst in matching.pairs:
-        arm_s, _, left_s = stats_by_ref[src]
-        arm_t, leg_t, _ = stats_by_ref[dst]
-        if (arm_s, left_s) != (arm_t, leg_t):
+    for (src, dst), s, t in zip(matching.pairs, *places):
+        if (arm[s], left[s]) != (arm[t], leg[t]):
             return VerifyReport.failure(
                 context,
                 where=(src, dst),
-                expected=(arm_s, left_s),
-                actual=(arm_t, leg_t),
+                expected=(arm[s], left[s]),
+                actual=(arm[t], leg[t]),
             )
     return VerifyReport.success(context)

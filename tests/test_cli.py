@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -130,6 +131,30 @@ def test_gauss_area_above_cap_is_usage_error(capsys, m, n):
     assert f"must not exceed {cli.GAUSS_MAX_AREA}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, handler, cap",
+    [
+        ("verify theorem1 --n-max {}", "_cmd_verify", cli.ENUM_MAX_N),
+        ("verify identity1 --n-max {}", "_cmd_verify", cli.ENUM_MAX_N),
+        ("verify lemma --stat arm-leg --c 0 --d 0 --n-max {} --trunc 100", "_cmd_verify", cli.ENUM_MAX_N),
+        ("verify anatomy --c 0 --d 0 --n-max {} --trunc 100", "_cmd_verify", cli.ENUM_MAX_N),
+        ("multiset --n {} --stat arm-leg", "_cmd_multiset", cli.ENUM_MAX_N),
+        ("match --n {}", "_cmd_match", cli.MATCH_MAX_N),
+    ],
+)
+def test_enumeration_caps(capsys, monkeypatch, argv, handler, cap):
+    """The cap itself is accepted; one more is a usage error, refused
+    before the command's handler starts any work."""
+    calls = []
+    monkeypatch.setattr(cli, handler, lambda args: calls.append(args) or 0)
+    assert invoke(capsys, *argv.format(cap).split()) == (0, "", "")
+    assert len(calls) == 1
+    code, out, err = invoke(capsys, *argv.format(cap + 1).split())
+    assert code == 2 and out == ""
+    assert f"must not exceed {cap}" in err
+    assert len(calls) == 1
+
+
 def test_fact3_box_partitions_above_cap_is_usage_error(capsys):
     # the narrowest box of three rows just over the partition cap
     n = next(n for n in itertools.count() if math.comb(n + 3, 3) > cli.FACT3_MAX_BOX_PARTITIONS)
@@ -220,7 +245,7 @@ def test_matching_identity_violation_exits_1(capsys, monkeypatch):
     def violated(n):
         raise IdentityViolation(f"pair multiset identity violated at n={n}")
 
-    monkeypatch.setattr(explorer, "canonical_matching", violated)
+    monkeypatch.setattr(explorer, "matching_table", violated)
     code, _, err = invoke(capsys, *"match --n 3".split())
     assert code == 1
     assert "identity violated at n=3" in err
@@ -337,6 +362,58 @@ def test_full_scale_output_matches_benchmark_digest(capsys, check):
     stdout = out.encode()
     assert len(stdout) == recorded["bytes"]
     assert hashlib.sha256(stdout).hexdigest() == recorded["sha256"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_match_full_scale_output_matches_benchmark_digest(capsys, tmp_path, fmt):
+    # stdout and --out both carry the bytes the benchmark records for n = 30
+    digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+    recorded = digests[f"match --n 30 --format {fmt}"]
+    code, out, _ = invoke(capsys, "match", "--n", "30", "--format", fmt)
+    assert code == 0
+    path = tmp_path / f"match.{fmt}"
+    assert invoke(capsys, "match", "--n", "30", "--format", fmt, "--out", str(path)) == (0, "", "")
+    for output in (out.encode(), path.read_bytes()):
+        assert len(output) == recorded["bytes"]
+        assert hashlib.sha256(output).hexdigest() == recorded["sha256"]
+
+
+def test_match_full_scale_text_matches_api(capsys):
+    pairs = canonical_matching(30).pairs
+    _, out, _ = invoke(capsys, "match", "--n", "30", "--format", "text")
+    assert out == "".join("(%s,%s,%s) -> (%s,%s,%s)\n" % (*s, *t) for s, t in pairs)
+
+
+def test_match_of_zero(capsys, tmp_path):
+    # the one partition of 0 has no cells: a header or an empty pair list, no row
+    assert canonical_matching(0).pairs == ()
+    expected = {
+        "text": "\n",
+        "csv": "src_partition,src_row,src_col,dst_partition,dst_row,dst_col\n",
+        "json": '{"n": 0, "pairs": []}\n',
+    }
+    for fmt, text in expected.items():
+        assert invoke(capsys, "match", "--n", "0", "--format", fmt) == (0, text, "")
+        path = tmp_path / fmt
+        assert invoke(capsys, "match", "--n", "0", "--format", fmt, "--out", str(path)) == (0, "", "")
+        assert path.read_text() == text
+
+
+# tracemalloc peak of `match --n 25 --format json --out PATH`: 1.59-1.68 MiB
+# on Python 3.10-3.13 with the flat cell table, 12.6 MiB when the CLI held
+# every CellRef pair and the whole output text
+MATCH_25_PEAK_BYTES = int(2.5 * 2**20)
+
+
+def test_match_memory_peak_is_bounded(tmp_path):
+    tracemalloc.start()
+    try:
+        code = run(["match", "--n", "25", "--format", "json", "--out", str(tmp_path / "m.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < MATCH_25_PEAK_BYTES, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_match_output_stable(capsys):

@@ -79,6 +79,28 @@ def test_identity_violation_names_smallest_key(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_table_positions_round_trip(n):
+    """Position k of the table is the k-th cell of the enumeration, the
+    position arithmetic takes that cell back to k, and the targets are a
+    permutation of the positions."""
+    table = explorer.matching_table(n)
+    refs = [
+        CellRef(index, row, col)
+        for index, parts in enumerate(partitions_of(n))
+        for (row, col), _ in cells(parts)
+    ]
+    assert list(zip(table.partition, table.row, table.col)) == refs
+    starts = explorer._row_starts(n)
+    assert [explorer._position(starts, ref) for ref in refs] == list(range(len(refs)))
+    assert sorted(table.target) == list(range(len(refs)))
+    outside = [(-1, 1, 1), (len(starts), 1, 1)]
+    for index, parts in enumerate(partitions_of(n)):
+        outside += [(index, 0, 1), (index, len(parts) + 1, 1)]
+        outside += [(index, row, col) for row, length in enumerate(parts, 1) for col in (0, length + 1)]
+    assert [explorer._position(starts, ref) for ref in outside] == [-1] * len(outside)
+
+
 @pytest.mark.parametrize("n", range(11))
 def test_deterministic(n):
     assert canonical_matching(n) == canonical_matching(n)
