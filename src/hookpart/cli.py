@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import io
-import json
 import math
 import os
 import sys
@@ -46,7 +43,8 @@ FACT3_MAX_AREA = 2000
 # (m*n)^2 / 4 steps for a square box and (m*n)^2 / 2 for a thin one: at the
 # limit 1x10000 takes 4.3 s, 2x5000 3.9 s and 100x100 2.4 s on one 2-core
 # host.  Each side is bounded too, as for fact 3: an empty box still takes a
-# step per row of its longer side
+# step per row of its longer side.  --trunc is bounded by the same limit, the
+# highest order the default m*n reaches: past m*n every coefficient is 0
 GAUSS_MAX_AREA = 10**4
 
 # the chain's stage 2 builds a literal (q)_{i+d} for each of about --trunc
@@ -180,20 +178,34 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _report_doc(report: VerifyReport) -> dict[str, Any]:
+    """A report as a JSON object; its discrepancy, a tuple, becomes an object too."""
+    disc = report.first_discrepancy
+    return {
+        "context": report.context,
+        "passed": report.passed,
+        "first_discrepancy": None if disc is None else disc._asdict(),
+    }
+
+
 def _render_reports(
     reports: Sequence[VerifyReport], fmt: str, extras: Optional[dict[str, Any]] = None
 ) -> tuple[str, int]:
     failed = [r for r in reports if not r.passed]
     code = 1 if failed else 0
     if fmt == "json":
+        import json
+
         doc: dict[str, Any] = {
             "passed": not failed,
-            "reports": [dataclasses.asdict(r) for r in reports],
+            "reports": [_report_doc(r) for r in reports],
         }
         if extras:
             doc.update(extras)
         return json.dumps(doc, indent=2, sort_keys=True), code
     if fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["context", "passed", "where", "expected", "actual"])
@@ -230,6 +242,8 @@ def _render_reports(
 
 def _render_series(label: str, series: qseries.QSeries, fmt: str) -> str:
     if fmt == "json":
+        import json
+
         return json.dumps(
             {"kind": label, "order": series.order, "coefficients": list(series.coeffs)},
             sort_keys=True,
@@ -243,6 +257,8 @@ def _render_series(label: str, series: qseries.QSeries, fmt: str) -> str:
 def _render_multiset(n: int, stat: str, pm: statistics.PairMultiset, fmt: str) -> str:
     rows = sorted(pm.counts.items())
     if fmt == "json":
+        import json
+
         return json.dumps(
             {
                 "n": n,
@@ -417,8 +433,10 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
                 f"gauss: --m ({args.m}), --n ({args.n}) and their product "
                 f"must not exceed {GAUSS_MAX_AREA}"
             )
-    if args.command == "series" and args.kind != "gauss" and args.trunc > SERIES_MAX_ORDER:
-        parser.error(f"{args.kind}: --trunc ({args.trunc}) must not exceed {SERIES_MAX_ORDER}")
+    if args.command == "series":
+        cap = GAUSS_MAX_AREA if args.kind == "gauss" else SERIES_MAX_ORDER
+        if args.trunc is not None and args.trunc > cap:
+            parser.error(f"{args.kind}: --trunc ({args.trunc}) must not exceed {cap}")
     if args.command == "multiset" and args.n > ENUM_MAX_N:
         parser.error(f"multiset: --n ({args.n}) must not exceed {ENUM_MAX_N}")
     if args.command == "match" and args.n > MATCH_MAX_N:

@@ -14,7 +14,6 @@ import functools
 import gc
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any, Callable, NamedTuple, ParamSpec, TypeVar
 
@@ -35,8 +34,7 @@ class IdentityViolation(RuntimeError):
     """The pair multiset identity failed for some n, so no matching exists."""
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(NamedTuple):
     """A pairing of every cell (as source) with every cell (as target)
     such that each source's (arm, left) equals its target's (arm, leg)."""
 

@@ -13,13 +13,11 @@ factor or term is included iff its lowest-degree monomial has exponent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     """First point at which two quantities that should agree do not."""
 
     where: Any
@@ -27,21 +25,36 @@ class Discrepancy:
     actual: Any
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of one identity check.
-
-    ``passed`` is True exactly when ``first_discrepancy`` is None;
-    ``context`` labels the identity that was checked.
-    """
+class _ReportFields(NamedTuple):
+    """VerifyReport's fields: a NamedTuple body cannot override ``__new__``,
+    so the subclass below checks the invariant."""
 
     context: str
     passed: bool
     first_discrepancy: Optional[Discrepancy] = None
 
-    def __post_init__(self) -> None:
-        if self.passed != (self.first_discrepancy is None):
+
+class VerifyReport(_ReportFields):
+    """Outcome of one identity check.
+
+    ``passed`` is True exactly when ``first_discrepancy`` is None;
+    ``context`` labels the identity that was checked.  An immutable
+    record: a tuple of its three fields, compared and hashed by them.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, context: str, passed: bool, first_discrepancy: Optional[Discrepancy] = None
+    ) -> "VerifyReport":
+        if passed != (first_discrepancy is None):
             raise ValueError("passed must mirror the absence of a discrepancy")
+        return super().__new__(cls, context, passed, first_discrepancy)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> "VerifyReport":
+        # `_replace` builds through `_make`, whose default skips `__new__`
+        return cls(*iterable)
 
     @classmethod
     def success(cls, context: str) -> "VerifyReport":

@@ -21,11 +21,10 @@ one's.  Pair multisets are sparse count maps, never flattened lists.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from hookpart.partitions import box_gf_brute, conjugate, partitions_of
 from hookpart.qseries import (
@@ -43,8 +42,7 @@ PAIR_STATS = ("arm-leg", "arm-left")
 CELL_STATS = ("hook", "part")
 
 
-@dataclass(frozen=True)
-class PairMultiset:
+class PairMultiset(NamedTuple):
     """Sparse multiset of (c, d) statistic pairs."""
 
     counts: Mapping[tuple[int, int], int]

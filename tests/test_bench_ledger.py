@@ -47,3 +47,36 @@ def test_two_runs_condensed(tmp_path):
     assert (entry["failed"], entry["attempted"]) == (0, 8)
     assert (entry["git_rev"], entry["python"], entry["nproc"]) == (["abc"], ["3.11.7"], [2])
     assert entry["src_sha256"] == "f00d" and "layers" not in entry
+
+
+def test_paired_wins_count_seeds_won_per_tree():
+    def run(workload, src, seed, wall, setup, rss_kb, trace=False):
+        result = perfbench_run(seed, wall, setup, [rss_kb], 0.5)
+        result.update(workload=workload, trace=trace)
+        result["environment"]["src_sha256"] = src
+        return result
+
+    runs = [
+        run("series", "aaaa", 1, 1.0, 0.10, 2048),
+        run("series", "bbbb", 1, 0.9, 0.10, 3072),  # wall won by bbbb; setup tied
+        run("series", "aaaa", 2, 1.0, 0.20, 2048),
+        run("series", "bbbb", 2, 1.1, 0.10, 1024),
+        run("series", "aaaa", 3, 1.0, 0.30, 2048),
+        run("series", "bbbb", 3, 1.2, 0.20, 1024),
+        run("series", "aaaa", 4, 9.0, 0.10, 9999),  # no bbbb run of seed 4
+        run("series", "bbbb", 5, 0.1, 0.01, 1, trace=True),  # traced runs are not timed
+        run("sweep", "aaaa", 1, 1.0, 0.10, 2048),  # one tree only
+        run("match", "aaaa", 1, 1.0, 0.10, 2048),  # three trees
+        run("match", "bbbb", 1, 1.0, 0.10, 2048),
+        run("match", "cccc", 1, 1.0, 0.10, 2048),
+    ]
+    ledger = load_tool().condense(runs)
+    assert ledger["paired_wins"] == {
+        "series": {
+            "seeds": [1, 2, 3],
+            "wall_s": {"aaaa": 2, "bbbb": 1},
+            "setup_s": {"aaaa": 0, "bbbb": 2},
+            "peak_rss_mb": {"aaaa": 1, "bbbb": 2},
+        }
+    }
+    assert [entry["src_sha256"] for entry in ledger["workloads"]["series"]] == ["aaaa", "bbbb"]

@@ -155,6 +155,24 @@ def test_enumeration_caps(capsys, monkeypatch, argv, handler, cap):
     assert len(calls) == 1
 
 
+def test_gauss_trunc_cap(capsys, monkeypatch):
+    """`series gauss --trunc` is bounded by the area cap: the cap reaches the
+    handler, one more exits 2 before any work; the area message is unchanged."""
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_series", lambda args: calls.append(args) or 0)
+    cap = cli.GAUSS_MAX_AREA
+    assert invoke(capsys, *f"series gauss --m 1 --n 1 --trunc {cap}".split()) == (0, "", "")
+    assert len(calls) == 1 and calls[0].trunc == cap
+    code, out, err = invoke(capsys, *f"series gauss --m 1 --n 1 --trunc {cap + 1}".split())
+    assert code == 2 and out == "" and len(calls) == 1
+    assert err.endswith(f"hookpart: error: gauss: --trunc ({cap + 1}) must not exceed {cap}\n")
+    code, out, err = invoke(capsys, *f"series gauss --m 1 --n {cap + 1} --trunc {cap + 1}".split())
+    assert code == 2 and out == "" and len(calls) == 1
+    assert err.endswith(
+        f"hookpart: error: gauss: --m (1), --n ({cap + 1}) and their product must not exceed {cap}\n"
+    )
+
+
 def test_fact3_box_partitions_above_cap_is_usage_error(capsys):
     # the narrowest box of three rows just over the partition cap
     n = next(n for n in itertools.count() if math.comb(n + 3, 3) > cli.FACT3_MAX_BOX_PARTITIONS)
@@ -486,6 +504,41 @@ def test_failing_report_renders_and_exits_1():
     assert csv_text.splitlines()[1].startswith("demo(n=3),false")
 
 
+# [success, failure] as the dataclass records and `dataclasses.asdict` rendered
+# them, so that a change of record type cannot change a byte of a report
+REPORT_DOCUMENTS = {
+    "text": "PASS demo(n=2)\n"
+    "FAIL demo(n=3) at ('sources', CellRef(partition_index=0, row=1, col=2)): "
+    "expected (1, 2), got (3, 4)\n"
+    "FAILED (1 of 2 checks)",
+    "json": '{\n  "passed": false,\n  "reports": [\n    {\n      "context": "demo(n=2)",\n'
+    '      "first_discrepancy": null,\n      "passed": true\n    },\n    {\n'
+    '      "context": "demo(n=3)",\n      "first_discrepancy": {\n        "actual": [\n'
+    '          3,\n          4\n        ],\n        "expected": [\n          1,\n'
+    '          2\n        ],\n        "where": [\n          "sources",\n          [\n'
+    '            0,\n            1,\n            2\n          ]\n        ]\n      },\n'
+    '      "passed": false\n    }\n  ]\n}',
+    "csv": "context,passed,where,expected,actual\n"
+    "demo(n=2),true,,,\n"
+    'demo(n=3),false,"(\'sources\', CellRef(partition_index=0, row=1, col=2))","(1, 2)","(3, 4)"',
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(REPORT_DOCUMENTS))
+def test_report_documents_byte_for_byte(fmt):
+    from hookpart.cli import _render_reports
+    from hookpart.explorer import CellRef
+    from hookpart.qseries import VerifyReport
+
+    reports = [
+        VerifyReport.success("demo(n=2)"),
+        VerifyReport.failure(
+            "demo(n=3)", where=("sources", CellRef(0, 1, 2)), expected=(1, 2), actual=(3, 4)
+        ),
+    ]
+    assert _render_reports(reports, fmt) == (REPORT_DOCUMENTS[fmt], 1)
+
+
 # --- worker pool ----------------------------------------------------------------
 
 
@@ -580,6 +633,23 @@ def test_cli_import_loads_no_pool_modules():
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"
+
+
+def test_cli_launch_loads_no_unused_modules():
+    # `dataclasses` brings `inspect`, `ast`, `dis` and `tokenize`; `json` and
+    # `csv` are loaded by the commands that write those formats
+    src = os.path.dirname(os.path.dirname(hookpart.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    unused = ("dataclasses", "inspect", "ast", "dis", "tokenize", "json", "csv")
+    script = (
+        "import hookpart.cli, sys; hookpart.cli.build_parser(); "
+        f"print(sorted(m for m in {unused!r} if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "[]"
 

@@ -16,6 +16,11 @@ apart.  For each group the ledger holds:
 - the seeds, the commands failed and attempted, and the git rev, Python
   version, nproc and 1-minute load of the runs.
 
+For each workload measured on exactly two source trees, ``paired_wins``
+pairs their timed runs by seed and counts, for ``wall_s``, ``setup_s`` and
+``peak_rss_mb``, the seeds on which each tree (by its hash) read lower; a
+tie counts for neither.
+
 Stdlib only.
 """
 
@@ -28,6 +33,7 @@ import sys
 from pathlib import Path
 
 TIMES = ("wall_s", "setup_s")
+PAIRED = ("wall_s", "setup_s", "peak_rss_mb")
 
 
 def _spread(values: list[float]) -> dict:
@@ -83,7 +89,32 @@ def condense(runs: list[dict]) -> dict:
             entry["layers"] = {name: statistics.median(values)
                                for name, values in sorted(layers.items())}
         workloads.setdefault(workload, []).append(entry)
-    return {"workloads": workloads}
+    return {"workloads": workloads, "paired_wins": paired_wins(runs)}
+
+
+def paired_wins(runs: list[dict]) -> dict:
+    """Per workload with exactly two source trees: the seeds both ran
+    untraced, and for each metric of ``PAIRED`` the number of those seeds
+    on which each tree read lower."""
+    trees: dict[str, dict[str, dict[int, dict]]] = {}
+    for run in runs:
+        if not run["trace"]:
+            by_seed = trees.setdefault(run["workload"], {}).setdefault(
+                run["environment"]["src_sha256"], {})
+            by_seed[run["seed"]] = run["metrics"]
+    wins: dict[str, dict] = {}
+    for workload, by_src in sorted(trees.items()):
+        if len(by_src) != 2:
+            continue
+        (src_a, runs_a), (src_b, runs_b) = sorted(by_src.items())
+        seeds = sorted(runs_a.keys() & runs_b.keys())
+        entry: dict = {"seeds": seeds}
+        for name in PAIRED:
+            a = sum(runs_a[seed][name]["value"] < runs_b[seed][name]["value"] for seed in seeds)
+            b = sum(runs_b[seed][name]["value"] < runs_a[seed][name]["value"] for seed in seeds)
+            entry[name] = {src_a: a, src_b: b}
+        wins[workload] = entry
+    return wins
 
 
 def main(argv: list[str] | None = None) -> int:
