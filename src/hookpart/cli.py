@@ -16,6 +16,7 @@ import io
 import math
 import os
 import sys
+from itertools import repeat
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from hookpart import anatomy, explorer, qseries, statistics
@@ -31,11 +32,12 @@ FACT_ARGS = {1: ("a", "k", "trunc"), 2: ("k", "trunc"), 3: ("m", "n"), 4: ("m", 
 FACT4_MAX_ORDER = 60
 
 # fact 3 enumerates all C(m+n, m) partitions in the m-by-n box and builds
-# Gaussian binomials at order m*n, about (m*n)^2 steps; at the limits the
-# slowest boxes (11x11, 3x179, 2x1000, 2000x1) take 0.4-0.8 s on one 2-core
-# host, while 12x12 took 1.5 s and 20000x1 28 s.  A side is bounded too:
-# with the other side 0 the area is 0, but the Gaussian binomial still
-# takes a step per row or column
+# Gaussian binomials and the quotient (q)_{m+n} / ((q)_m (q)_n) at order
+# m*n, about (m*n)^2 steps; at the limits the boxes 11x11, 3x179, 2x1000,
+# 2000x1 and 1x2000 take 0.35-0.75 s on one 2-core host, and 1000x2 4.2-4.3 s
+# (its brute walk builds prefixes of up to 1000 parts), while 12x12 took
+# 1.5 s and 20000x1 28 s.  A side is bounded too: with the other side 0 the
+# area is 0, but the Gaussian binomial still takes a step per row or column
 FACT3_MAX_BOX_PARTITIONS = 10**6
 FACT3_MAX_AREA = 2000
 
@@ -69,9 +71,9 @@ FACT1_MAX_ORDER = 200
 # on one 2-core host, while theorem1 at --jobs 1 took 10.6 s at 50
 ENUM_MAX_N = 45
 
-# `match` holds four ints for each of the n * p(n) cells of --n and writes
-# a row for each: at the limit each format takes 5.3-5.9 s with a peak RSS
-# of 52 MB on one 2-core host (0.7-0.8 s and 20.5 MB at n = 30)
+# `match` holds two ints for each of the n * p(n) cells of --n and writes
+# a row for each: at the limit each format takes 2.1-2.4 s with a peak RSS
+# of 39 MB on one 2-core host (0.27-0.32 s and 17.5 MB at n = 30)
 MATCH_MAX_N = 40
 
 
@@ -275,27 +277,40 @@ def _render_multiset(n: int, stat: str, pm: statistics.PairMultiset, fmt: str) -
 
 
 def _render_matching(table: explorer.MatchingTable, fmt: str) -> Iterator[str]:
-    """The matching's text in pieces, straight from the table's columns:
-    4096 rows a piece, one %-template per format over each row's six ints,
-    so only one piece's row strs are alive at once."""
+    """The matching's text in pieces of 4096 rows, so only one piece's row
+    strs are alive at once.  Each row is joined from four cached strs, two
+    per end: the partition index (one str per partition of n) and the
+    (row, col) in its diagram (one str per code in the cell column, n * n)."""
+    n, cell, target = table
     if fmt == "json":
         # every value is an int, so this is json.dumps(..., sort_keys=True) text
-        template, sep = '{"dst": [%s, %s, %s], "src": [%s, %s, %s]}', ", "
-        yield f'{{"n": {table.n}, "pairs": ['
+        part_fmt, place_fmt, sep = "[%d, ", "%d, %d]", ", "
+        head, mid, tail = '{"dst": ', ', "src": ', "}"
+        yield f'{{"n": {n}, "pairs": ['
     elif fmt == "csv":
-        template, sep = "%s,%s,%s,%s,%s,%s", "\n"
+        part_fmt, place_fmt, sep = "%d,", "%d,%d", "\n"
+        head, mid, tail = "", ",", ""
         yield "src_partition,src_row,src_col,dst_partition,dst_row,dst_col"
     else:
-        template, sep = "(%s,%s,%s) -> (%s,%s,%s)", "\n"
-    columns = (table.partition, table.row, table.col)
-    for start in range(0, len(table.target), 4096):
+        part_fmt, place_fmt, sep = "(%d,", "%d,%d)", "\n"
+        head, mid, tail = "", " -> ", ""
+    parts = [part_fmt % index for index in range(len(cell) // n)] if n else []
+    places = [place_fmt % (row, col) for row in range(1, n + 1) for col in range(1, n + 1)]
+
+    def ends(positions: Iterable[int], codes: Iterable[int]) -> tuple[Iterator[str], Iterator[str]]:
+        # cell k lies in partition k // n
+        return map(parts.__getitem__, map(n.__rfloordiv__, positions)), map(places.__getitem__, codes)
+
+    row_sep = tail + sep + head
+    for start in range(0, len(target), 4096):
         if start or fmt == "csv":
             yield sep
-        stop = start + 4096
-        src = [column[start:stop] for column in columns]
-        dst = [map(column.__getitem__, table.target[start:stop]) for column in columns]
-        rows = zip(*dst, *src) if fmt == "json" else zip(*src, *dst)
-        yield sep.join(map(template.__mod__, rows))
+        dst = target[start : start + 4096]
+        src_ends = ends(range(start, start + len(dst)), cell[start : start + len(dst)])
+        dst_ends = ends(dst, map(cell.__getitem__, dst))
+        first, second = (dst_ends, src_ends) if fmt == "json" else (src_ends, dst_ends)
+        rows = map("".join, zip(*first, repeat(mid), *second))
+        yield head + row_sep.join(rows) + tail
     if fmt == "json":
         yield "]}"
 

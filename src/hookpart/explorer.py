@@ -80,18 +80,19 @@ def _without_cyclic_gc(fn: Callable[_P, _R]) -> Callable[_P, _R]:
 
 
 class MatchingTable(NamedTuple):
-    """The canonical matching of weight n as flat columns.
+    """The canonical matching of weight n as two flat columns.
 
     Cells are numbered by their position in enumeration order, which is
-    sorted ``CellRef`` order: cell k is ``CellRef(partition[k], row[k],
-    col[k])``, and source k is paired with target ``target[k]``.  Each
-    column is an ``array('i')``: four ints per cell and no per-cell object.
+    sorted ``CellRef`` order.  Every partition of n has n cells, so cell k
+    lies in partition ``k // n``, and ``cell[k]`` codes its place in that
+    partition's diagram as ``(row - 1) * n + col - 1``: cell k is
+    ``CellRef(k // n, cell[k] // n + 1, cell[k] % n + 1)``.  Source k is
+    paired with target ``target[k]``.  Both columns are ``array('i')``s:
+    two ints per cell and no per-cell object.
     """
 
     n: int
-    partition: array
-    row: array
-    col: array
+    cell: array
     target: array
 
 
@@ -110,15 +111,13 @@ def matching_table(n: int) -> MatchingTable:
     # arm, left and leg are all below n, so the key (a, b) is coded as the
     # int a * stride + b: ints sort like the tuples and cost no allocation
     stride = n + 1
-    partition, rows, cols, source_keys = array("i"), array("i"), array("i"), array("i")
+    cell, source_keys = array("i"), array("i")
     targets: defaultdict[int, array] = defaultdict(functools.partial(array, "i"))
-    for index, parts in enumerate(partitions_of(n)):
+    for parts in partitions_of(n):
         for (row, col), stats in cells(parts):
             # the cell's position is the count of cells before it
             targets[stats.arm * stride + stats.leg].append(len(source_keys))
-            partition.append(index)
-            rows.append(row)
-            cols.append(col)
+            cell.append((row - 1) * n + col - 1)
             source_keys.append(stats.arm * stride + stats.left)
     target_counts = {key: len(group) for key, group in targets.items()}
     sizes = compare_counts(f"matching(n={n})", Counter(source_keys), target_counts)
@@ -128,9 +127,9 @@ def matching_table(n: int) -> MatchingTable:
             f"pair multiset identity violated at n={n}, key={divmod(disc.where, stride)}: "
             f"{disc.expected} arm-left cells vs {disc.actual} arm-leg cells"
         )
-    next_target = {key: iter(group).__next__ for key, group in targets.items()}
-    target = array("i", (next_target[key]() for key in source_keys))
-    return MatchingTable(n, partition, rows, cols, target)
+    iters = {key: iter(group) for key, group in targets.items()}
+    target = array("i", map(next, map(iters.__getitem__, source_keys)))
+    return MatchingTable(n, cell, target)
 
 
 @_without_cyclic_gc
@@ -139,7 +138,9 @@ def canonical_matching(n: int) -> Matching:
     source: ``matching_table(n)`` with each position made a ``CellRef``."""
     table = matching_table(n)
     # CellRef's own __new__ is a Python-level wrapper around this call
-    refs = [tuple.__new__(CellRef, cell) for cell in zip(table.partition, table.row, table.col)]
+    refs = [
+        tuple.__new__(CellRef, (k // n, at // n + 1, at % n + 1)) for k, at in enumerate(table.cell)
+    ]
     return Matching(n=n, pairs=tuple(zip(refs, map(refs.__getitem__, table.target))))
 
 

@@ -36,6 +36,7 @@ from hookpart.qseries import (
     make_monomial,
     one,
     partial_euler_inv,
+    q_pochhammer,
 )
 
 PAIR_STATS = ("arm-leg", "arm-left")
@@ -295,12 +296,13 @@ def verify_lemma(c: int, d: int, stat: str, n_max: int, order: int) -> VerifyRep
 
 
 def verify_fact3(m: int, n: int) -> VerifyReport:
-    """Check the m-by-n box enumerator two ways.
+    """Check the m-by-n box enumerator three ways.
 
     Brute enumeration of box-bounded partitions must match the Gaussian
-    binomial, and the corner recurrence
+    binomial; so must, coefficient-wise at order m*n, the corner recurrence
     F(m,n) = q^n F(m-1,n) + F(m,n-1)  (F with a zero side is 1)
-    must hold coefficient-wise at order m*n.
+    and the literal quotient (q)_{m+n} / ((q)_m (q)_n), built from
+    ``q_pochhammer`` and ``partial_euler_inv`` without ``gauss_binomial``.
     """
     context = f"fact3(m={m}, n={n})"
     order = m * n
@@ -315,6 +317,17 @@ def verify_fact3(m: int, n: int) -> VerifyReport:
             m, n - 1, order
         )
     report = compare_series(context + " [recurrence]", recurrence, closed)
+    if not report.passed:
+        return report
+    # dividing (q)_{m+n} by the longer side's (q)_k first leaves a short
+    # polynomial, so neither product multiplies two dense series
+    short, long = sorted((m, n))
+    quotient = (
+        q_pochhammer(1, m + n, order)
+        * partial_euler_inv(long, order)
+        * partial_euler_inv(short, order)
+    )
+    report = compare_series(context + " [quotient]", quotient, closed)
     if not report.passed:
         return report
     return VerifyReport.success(context)

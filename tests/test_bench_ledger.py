@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_ledger.py"
 
 
@@ -19,8 +21,9 @@ def perfbench_run(seed, wall, setup, rss_kb, load):
         "metrics": {"wall_s": {"value": wall, "unit": "s"},
                     "setup_s": {"value": setup, "unit": "s"},
                     "peak_rss_mb": {"value": max(rss_kb) / 1024, "unit": "MB"}},
-        "workload": "series", "seed": seed, "trace": False,
+        "workload": "series", "seed": seed, "trace": False, "commands": [],
         "samples": {"wall_s": [wall], "setup_s": [setup], "max_rss_kb": rss_kb},
+        "unscaled": {"wall_s": wall, "setup_s": setup, "host_s": 0.1},
         "environment": {"python": "3.11.7", "nproc": 2, "git_rev": "abc",
                         "src_sha256": "f00d", "loadavg_1m": load},
     }
@@ -80,3 +83,33 @@ def test_paired_wins_count_seeds_won_per_tree():
         }
     }
     assert [entry["src_sha256"] for entry in ledger["workloads"]["series"]] == ["aaaa", "bbbb"]
+
+
+def test_setup_split_into_help_and_command_launches():
+    def run(seed, setup_samples, scale=1.0, failed=0):
+        result = perfbench_run(seed, 1.0, 0.1, [2048], 0.5)
+        result["failed"] = failed
+        result["commands"] = ["match --n 30 --format csv", "match --n 30 --format json"]
+        # two passes: two --help launches, then one sample per command
+        result["samples"].update(wall_s=[1.0, 1.0], setup_s=setup_samples)
+        result["unscaled"]["setup_s"] = 1.0
+        result["metrics"]["setup_s"]["value"] = scale
+        return result
+
+    runs = [
+        run(1, [0.05, 0.07, 0.09, 0.11, 0.06, 0.08, 0.10, 0.12]),
+        run(2, [0.05, 0.07, 0.09, 0.11, 0.06, 0.08, 0.10, 0.12], scale=3.0),
+        run(3, [9.0] * 8, failed=1),  # a failed command: the passes no longer split
+        run(4, [9.0] * 7),  # a sample short of two passes
+    ]
+    (entry,) = load_tool().condense(runs)["workloads"]["series"]
+    split = entry["setup_s_by_launch"]
+    assert abs(split["help"]["median"] - 0.13) < 1e-12  # medians 0.065 and 0.195
+    assert abs(split["help"]["iqr"] - 0.065) < 1e-12  # inclusive quartiles of two values
+    assert abs(split["command"]["median"] - 0.21) < 1e-12  # medians 0.105 and 0.315
+
+    (clean,) = load_tool().condense(runs[:1])["workloads"]["series"]
+    assert clean["setup_s_by_launch"] == {
+        "help": {"median": pytest.approx(0.065), "iqr": 0.0},
+        "command": {"median": pytest.approx(0.105), "iqr": 0.0},
+    }

@@ -417,10 +417,11 @@ def test_match_of_zero(capsys, tmp_path):
         assert path.read_text() == text
 
 
-# tracemalloc peak of `match --n 25 --format json --out PATH`: 1.59-1.68 MiB
-# on Python 3.10-3.13 with the flat cell table, 12.6 MiB when the CLI held
-# every CellRef pair and the whole output text
-MATCH_25_PEAK_BYTES = int(2.5 * 2**20)
+# tracemalloc peak of `match --n 25 --format json --out PATH`: 1.28-1.46 MiB
+# on Python 3.10-3.13 with the two-column cell table, 1.60-1.78 MiB with
+# four columns, 12.6 MiB when the CLI held every CellRef pair and the whole
+# output text
+MATCH_25_PEAK_BYTES = 2 * 2**20
 
 
 def test_match_memory_peak_is_bounded(tmp_path):

@@ -90,7 +90,8 @@ def test_table_positions_round_trip(n):
         for index, parts in enumerate(partitions_of(n))
         for (row, col), _ in cells(parts)
     ]
-    assert list(zip(table.partition, table.row, table.col)) == refs
+    decoded = [(k // n, at // n + 1, at % n + 1) for k, at in enumerate(table.cell)]
+    assert decoded == refs
     starts = explorer._row_starts(n)
     assert [explorer._position(starts, ref) for ref in refs] == list(range(len(refs)))
     assert sorted(table.target) == list(range(len(refs)))

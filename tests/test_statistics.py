@@ -2,7 +2,7 @@ from types import MappingProxyType
 
 import pytest
 
-from hookpart import statistics
+from hookpart import qseries, statistics
 from hookpart.partitions import cell_stats, cells, count_partitions, partitions_of
 from hookpart.qseries import lemma_rhs
 from hookpart.statistics import (
@@ -271,6 +271,24 @@ def test_verify_lemma_midscale(c, d, stat):
 def test_fact3_passes(m, n):
     report = verify_fact3(m, n)
     assert report.passed, report
+
+
+@pytest.mark.parametrize(
+    "kernel,faulty",
+    [
+        ("q_pochhammer", lambda k, count, order: qseries.q_pochhammer(k, count - 1, order)),
+        ("partial_euler_inv", lambda m, order: qseries.partial_euler_inv(m + 1, order)),
+    ],
+)
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3)])
+def test_fact3_quotient_catches_a_faulty_kernel(monkeypatch, kernel, faulty, m, n):
+    """The quotient half is checked against gauss_binomial on its own: a
+    fault in a kernel it is built from fails fact 3 there, after the brute
+    and recurrence halves, which do not read that kernel, have passed."""
+    monkeypatch.setattr(statistics, kernel, faulty)
+    report = verify_fact3(m, n)
+    assert not report.passed
+    assert report.context == f"fact3(m={m}, n={n}) [quotient]"
 
 
 @pytest.mark.parametrize("m,order", [(0, 5), (2, 4), (3, 15), (6, 20)])

@@ -10,6 +10,12 @@ an uncommitted tree carry the rev of its parent; the hash tells the two
 apart.  For each group the ledger holds:
 
 - the median and IQR of the runs' ``wall_s`` and ``setup_s``;
+- ``setup_s`` split by launch: the median and IQR over the runs with no
+  failed command of each run's median set-up time of its ``--help``
+  launches and of its command launches, scaled like the run's
+  ``setup_s``.  In every pass of such a run the first ``HELP_LAUNCHES``
+  set-up samples are ``--help`` and the rest follow the commands, so a
+  command that slows the launch after it shows as a gap between the two;
 - the median and max of the per-launch peak RSS, over every launch of
   every run (a run's own ``peak_rss_mb`` is its max alone);
 - the median of each per-layer metric over the traced runs;
@@ -34,6 +40,7 @@ from pathlib import Path
 
 TIMES = ("wall_s", "setup_s")
 PAIRED = ("wall_s", "setup_s", "peak_rss_mb")
+HELP_LAUNCHES = 2  # set-up-only launches at the start of each pass (SETUP_LAUNCHES in perfbench)
 
 
 def _spread(values: list[float]) -> dict:
@@ -47,6 +54,23 @@ def _spread(values: list[float]) -> dict:
 
 def _distinct(values: list) -> list:
     return sorted(set(values), key=str)
+
+
+def _setup_by_launch(run: dict) -> dict[str, float] | None:
+    """The run's median set-up time of its ``--help`` launches and of its
+    command launches, scaled like its ``setup_s``; None if a command
+    failed, since a failed launch leaves no sample and the passes no
+    longer split at fixed places."""
+    samples = run["samples"]["setup_s"]
+    width = HELP_LAUNCHES + len(run["commands"])
+    if run["failed"] or not samples or len(samples) != width * len(run["samples"]["wall_s"]):
+        return None
+    scale = run["metrics"]["setup_s"]["value"] / run["unscaled"]["setup_s"]
+    passes = [samples[start : start + width] for start in range(0, len(samples), width)]
+    return {
+        "help": statistics.median(s for one in passes for s in one[:HELP_LAUNCHES]) * scale,
+        "command": statistics.median(s for one in passes for s in one[HELP_LAUNCHES:]) * scale,
+    }
 
 
 def condense(runs: list[dict]) -> dict:
@@ -78,6 +102,12 @@ def condense(runs: list[dict]) -> dict:
             values = [run["metrics"][name]["value"] for run in timed if name in run["metrics"]]
             if values:
                 entry[name] = _spread(values)
+        split = [medians for medians in map(_setup_by_launch, timed) if medians]
+        if split:
+            entry["setup_s_by_launch"] = {
+                launch: _spread([medians[launch] for medians in split])
+                for launch in ("help", "command")
+            }
         rss = [kb / 1024 for run in timed for kb in run["samples"]["max_rss_kb"]]
         if rss:
             entry["launch_peak_rss_mb"] = {"median": statistics.median(rss), "max": max(rss)}
