@@ -11,11 +11,13 @@ whose closed form is q^(c+d+1) / ((1 - q^(c+d+1)) (q)_inf).
 ``proof_chain`` re-derives that closed form numerically: the double sum
 over corners is collapsed step by step (inner sum first, then the outer
 one), each stage evaluated by its own code path, and all five stages are
-compared coefficient-wise.  Stages 0-2 each build their own row summands
-and evaluate the outer sum over the rows by ``qseries.euler_sum``, which
-stage 0 also uses for its inner sums; stage 1's tails, stages 3 and 4
-and ``qseries.lemma_rhs`` never call it, so a fault in it shows as a
-stage mismatch.
+compared coefficient-wise.  Stages 0 and 1 each build their own row
+summands and evaluate the outer sum over the rows by ``qseries.euler_sum``,
+which stage 0 also uses for its inner sums; stage 2's sum over the rows is
+``qseries.gauss_sum``'s.  Stage 1's tails, stages 3 and 4 and
+``qseries.lemma_rhs`` call neither, so a fault in either kernel shows as a
+stage mismatch: stage1=stage2 sets ``euler_sum`` against ``gauss_sum``, and
+stage2=stage3 is fact 1 at (a, k) = (d, c+1).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from hookpart.qseries import (
     compare_series,
     euler_sum,
     gauss_binomial,
+    gauss_sum,
     lemma_rhs,
     make_monomial,
     one,
@@ -268,15 +271,11 @@ def _chain_stage2(c: int, d: int, order: int) -> QSeries:
 
     q^(c+d+1)/(q)_inf * (q)_{c+d}/(q)_c
         * sum_i q^(i(c+1)) (q)_{i+d} / ((q)_d (q)_i)
-    where each row's (q)_{i+d} is a literal ``q_pochhammer`` product of
-    i+d two-term factors, and only it: the i-independent 1/(q)_d is taken
-    out of the sum into the head, and q^(i(c+1)) / (q)_i is applied by
-    ``euler_sum``.
+    where each summand is the Gaussian binomial q^(i(c+1)) [i+d, d]_q, and
+    the sum is ``qseries.gauss_sum``'s.
     """
-    rows = range(len(_corner_rows(c, d, order)))
-    products = [q_pochhammer(1, i + d, order) for i in rows]
-    head = _euler_box_head(c, d, order) * partial_euler_inv(d, order)
-    return head * euler_sum(c + 1, products, order)
+    rows = len(_corner_rows(c, d, order))
+    return _euler_box_head(c, d, order) * gauss_sum(c + 1, d, rows, order)
 
 
 def _chain_stage3(c: int, d: int, order: int) -> QSeries:

@@ -33,11 +33,11 @@ FACT4_MAX_ORDER = 60
 
 # fact 3 enumerates all C(m+n, m) partitions in the m-by-n box and builds
 # Gaussian binomials and the quotient (q)_{m+n} / ((q)_m (q)_n) at order
-# m*n, about (m*n)^2 steps; at the limits the boxes 11x11, 3x179, 2x1000,
-# 2000x1 and 1x2000 take 0.35-0.75 s on one 2-core host, and 1000x2 4.2-4.3 s
-# (its brute walk builds prefixes of up to 1000 parts), while 12x12 took
-# 1.5 s and 20000x1 28 s.  A side is bounded too: with the other side 0 the
-# area is 0, but the Gaussian binomial still takes a step per row or column
+# m*n, about (m*n)^2 steps; at the limits the boxes 11x11, 3x179, 179x3,
+# 2x1000, 1000x2, 2000x1 and 1x2000 take 0.5-0.8 s on one 2-core host (the
+# brute walk takes the shorter side as rows), while 12x12 took 1.5 s and
+# 20000x1 28 s.  A side is bounded too: with the other side 0 the area is
+# 0, but the Gaussian binomial still takes a step per row or column
 FACT3_MAX_BOX_PARTITIONS = 10**6
 FACT3_MAX_AREA = 2000
 
@@ -49,21 +49,20 @@ FACT3_MAX_AREA = 2000
 # highest order the default m*n reaches: past m*n every coefficient is 0
 GAUSS_MAX_AREA = 10**4
 
-# the chain's stage 2 builds a literal (q)_{i+d} for each of about --trunc
-# rows, so its cost grows like the cube of the order: c = d = 0, the
-# slowest split, takes 3.7-4.0 s at order 500 and 10.4-11.8 s at 700 on one
-# 2-core host
-CHAIN_MAX_ORDER = 700
+# the chain's stages 0 and 1 hold most of its cost; in a sweep of c, d over
+# 0-600 at order 1000, and of the splits next to c = d = 0 at the limit,
+# c = 0 with d <= 1 are the slowest: 7.4-8.9 s at the limit on one 2-core
+# host, 9.0-10.1 s at 2400
+CHAIN_MAX_ORDER = 2200
 
 # `series euler-inv`, `series lemma-rhs` and `verify fact --id 2` cost about
 # the square of --trunc; at the limit, on one 2-core host, they take 2.4 s,
-# 5.4 s (c = d = 0, the densest split) and 5.8 s (k = 1, the most terms)
+# 5.4 s (c = d = 0, the densest split) and 5.8 s (k = 1, the most terms).
+# `verify fact --id 1` costs about trunc^2 / k whatever --a is (factors
+# (1 - q^e) with e > trunc are 1): at k = 1 the slowest --a, 130-180, where
+# (q)_{a+1} is dense up to the order, take 4.0-5.0 s (fact 2: 3.4-3.6 s in
+# the same runs)
 SERIES_MAX_ORDER = 6000
-
-# fact 1 builds an a-by-j Gaussian binomial per j <= trunc/k, about
-# a * trunc^3 / 2 steps at k = 1: 6.4 s at both limits, 9.1 s at a = 10, order 300
-FACT1_MAX_A = 20
-FACT1_MAX_ORDER = 200
 
 # theorem1, identity1, lemma and anatomy enumerate every partition of every
 # n <= --n-max, and multiset every partition of --n, about 6x the cost per
@@ -463,11 +462,9 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
         if missing:
             flags = ", ".join("--" + name for name in missing)
             parser.error(f"fact {args.fact_id} requires {flags}")
-        cap = {1: FACT1_MAX_ORDER, 2: SERIES_MAX_ORDER, 4: FACT4_MAX_ORDER}.get(args.fact_id)
+        cap = {1: SERIES_MAX_ORDER, 2: SERIES_MAX_ORDER, 4: FACT4_MAX_ORDER}.get(args.fact_id)
         if cap is not None and args.trunc > cap:
             parser.error(f"fact {args.fact_id}: --trunc ({args.trunc}) must not exceed {cap}")
-        if args.fact_id == 1 and args.a > FACT1_MAX_A:
-            parser.error(f"fact 1: --a ({args.a}) must not exceed {FACT1_MAX_A}")
         if args.fact_id == 3:
             if max(args.m, args.n, args.m * args.n) > FACT3_MAX_AREA:
                 parser.error(

@@ -162,11 +162,14 @@ def box_gf_brute(m: int, n: int) -> QSeries:
 
     Counts by direct enumeration; the result is a QSeries of order m*n
     whose coefficient at q^e is the number of such partitions of weight e.
-    This is the brute-force twin of ``qseries.gauss_binomial``.
+    This is the brute-force twin of ``qseries.gauss_binomial``.  Conjugation
+    maps the m-by-n box onto the n-by-m one and keeps the weight, so the
+    walk takes the shorter side as rows: every prefix it builds and sums
+    has at most min(m, n) parts.
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
     coeffs = [0] * (m * n + 1)
-    for parts in box_partitions(m, n):
+    for parts in box_partitions(min(m, n), max(m, n)):
         coeffs[sum(parts)] += 1
     return QSeries(coeffs)

@@ -291,6 +291,38 @@ def euler_sum(shift: int, summands: Sequence[QSeries], order: int) -> QSeries:
     return QSeries(acc)
 
 
+def gauss_sum(shift: int, a: int, terms: int, order: int) -> QSeries:
+    """sum_j q^(j*shift) [a+j, a]_q over j = 0..terms-1, truncated.
+
+    The one evaluator of such sums: fact 1's right side and chain stage 2's
+    sum over rows.  Row j, the Gaussian binomial [a+j, a]_q, a polynomial of
+    degree a*j, comes from row j-1 by two in-place two-term steps, since
+    [a+j, a]_q = [a+j-1, a]_q * (1 - q^(a+j)) / (1 - q^j): multiply by
+    (1 - q^(a+j)) with e descending, so row[e - a - j] is still old, then
+    divide by (1 - q^j) with e ascending, so row[e - j] already holds the
+    quotient.  Row j is added at q^(j*shift), so it is kept only up to
+    order - j*shift: O(order) per row.  Chain stage 1's tails also multiply
+    by (1 - q^(d+i)); this loop stays apart from theirs, so that a fault in
+    either shows as a stage mismatch.
+    """
+    acc = [0] * (order + 1)
+    row = [1] + [0] * order
+    for j in range(terms):
+        base = j * shift
+        if base > order:
+            break
+        top = min(a * j, order - base)
+        if j:
+            s = a + j
+            for e in range(top, s - 1, -1):
+                row[e] -= row[e - s]
+            for e in range(j, top + 1):
+                row[e] += row[e - j]
+        for e in range(top + 1):
+            acc[base + e] += row[e]
+    return QSeries(acc)
+
+
 def gauss_binomial(m: int, n: int, order: int) -> QSeries:
     """Gaussian binomial for the m-by-n box, truncated to the given order.
 
@@ -369,20 +401,19 @@ def verify_fact1(a: int, k: int, order: int) -> VerifyReport:
     """Check the q-binomial expansion of 1/(z)_{a+1} at z = q^k.
 
     Left side: the inverted finite product (1-q^k)...(1-q^(k+a)).
-    Right side: sum over j of gauss_binomial(a, j) * q^(k*j), keeping the
-    terms whose lowest degree k*j fits under the order.  The two sides are
-    computed by unrelated code paths (inversion vs. box recurrence).
+    Right side: sum over j of [a+j, a]_q * q^(k*j) by ``gauss_sum``,
+    keeping the terms whose lowest degree k*j fits under the order.  The
+    two sides share no code (inversion vs. ``gauss_sum``'s row steps), so
+    this fact is the check of ``gauss_sum``, the kernel behind chain stage 2.
+    Factors (1 - q^e) with e > order are 1, so the cost, about order^2/k,
+    stops growing once a passes the order.
     """
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
     if k < 1:
         raise ValueError("specialization exponent k must be >= 1")
     lhs = q_pochhammer(k, a + 1, order).invert()
-    rhs = zero(order)
-    j = 0
-    while k * j <= order:
-        rhs = rhs + gauss_binomial(a, j, order) * make_monomial(k * j, order)
-        j += 1
+    rhs = gauss_sum(k, a, order // k + 1, order)
     return compare_series(f"fact1(a={a}, k={k}, order={order})", lhs, rhs)
 
 

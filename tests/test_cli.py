@@ -94,14 +94,20 @@ def test_chain_order_above_cap_is_usage_error(capsys):
         ("series euler-inv --trunc {}", cli.SERIES_MAX_ORDER),
         ("series lemma-rhs --c 0 --d 0 --trunc {}", cli.SERIES_MAX_ORDER),
         ("verify fact --id 2 --k 1 --trunc {}", cli.SERIES_MAX_ORDER),
-        ("verify fact --id 1 --a 2 --k 1 --trunc {}", cli.FACT1_MAX_ORDER),
-        ("verify fact --id 1 --a {} --k 1 --trunc 12", cli.FACT1_MAX_A),
+        ("verify fact --id 1 --a 2 --k 1 --trunc {}", cli.SERIES_MAX_ORDER),
     ],
 )
 def test_series_and_fact1_caps_are_usage_errors(capsys, argv, cap):
     code, out, err = invoke(capsys, *argv.format(cap + 1).split())
     assert code == 2 and out == ""
     assert f"must not exceed {cap}" in err
+
+
+def test_fact1_a_is_unbounded(capsys):
+    # factors (1 - q^e) with e above --trunc are 1, so a large --a costs no more
+    code, out, _ = invoke(capsys, *"verify fact --id 1 --a 100000 --k 1 --trunc 50".split())
+    assert code == 0
+    assert out.startswith("PASS fact1(a=100000, k=1, order=50)")
 
 
 @pytest.mark.parametrize(

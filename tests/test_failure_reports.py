@@ -7,7 +7,7 @@ comparison code cannot silently change what a failure says.
 
 import pytest
 
-from hookpart import anatomy, statistics
+from hookpart import anatomy, qseries, statistics
 from hookpart.explorer import CellRef, Matching, canonical_matching, verify_matching
 from hookpart.qseries import Discrepancy, make_monomial
 from hookpart.statistics import PairMultiset
@@ -87,6 +87,18 @@ def test_lemma_report(monkeypatch):
     perturb_rows(monkeypatch, 5, (1, 0), 3)
     report = statistics.verify_lemma(1, 0, "arm-left", 8, 10)
     assert_failure(report, "lemma(c=1, d=0, stat=arm-left, n_max=8)", 5, 4, 7)
+
+
+def test_fact1_report(monkeypatch):
+    original = qseries.gauss_sum
+    monkeypatch.setattr(
+        qseries,
+        "gauss_sum",
+        lambda shift, a, terms, order: original(shift, a, terms, order) + make_monomial(5, order),
+    )
+    report = qseries.verify_fact1(2, 1, 10)
+    # 5 partitions of 5 into parts <= 3
+    assert_failure(report, "fact1(a=2, k=1, order=10)", 5, 5, 6)
 
 
 @pytest.mark.parametrize(

@@ -174,6 +174,14 @@ def test_box_gf_matches_gauss_binomial(m, n):
     assert box_gf_brute(m, n) == gauss_binomial(m, n, m * n)
 
 
+@pytest.mark.parametrize("m,n", [(0, 9), (1, 12), (2, 40), (3, 25), (4, 11)])
+def test_box_gf_brute_is_symmetric_for_thin_boxes(m, n):
+    tall = [0] * (m * n + 1)
+    for parts in box_partitions(n, m):  # the longer side as rows
+        tall[sum(parts)] += 1
+    assert box_gf_brute(m, n).coeffs == box_gf_brute(n, m).coeffs == tuple(tall)
+
+
 @given(st.integers(0, 4), st.integers(0, 4))
 def test_box_gf_total_is_binomial(m, n):
     import math

@@ -304,6 +304,19 @@ def test_euler_sum_matches_literal_sum(order, shift):
         assert qseries.euler_sum(shift, summands, order) == literal, terms
 
 
+@pytest.mark.parametrize("shift", [1, 2, 3, 5])
+@pytest.mark.parametrize("order", [0, 1, 7, 40])
+@pytest.mark.parametrize("a", range(6))
+def test_gauss_sum_matches_literal_sum(a, order, shift):
+    full = order // shift + 1
+    # every term that fits, and fewer, as chain stage 2 asks for
+    for terms in sorted({0, 1, max(full - 2, 0), full, full + 3}):
+        literal = zero(order)
+        for j in range(min(terms, full)):
+            literal = literal + gauss_binomial(a, j, order) * make_monomial(j * shift, order)
+        assert qseries.gauss_sum(shift, a, terms, order) == literal, terms
+
+
 def gauss_poly_recursive(m, n):
     """Exact m-by-n box enumerator by the recursive corner recurrence,
     degree m*n: F(m,n) = q^n * F(m-1,n) + F(m,n-1), F(0,n) = F(m,0) = 1."""
