@@ -66,8 +66,9 @@ SERIES_MAX_ORDER = 6000
 
 # theorem1, identity1, lemma and anatomy enumerate every partition of every
 # n <= --n-max, and multiset every partition of --n, about 6x the cost per
-# +10: at the limit the slowest, `verify anatomy --c 0 --d 0`, takes 6.9-7.7 s
-# on one 2-core host, while theorem1 at --jobs 1 took 10.6 s at 50
+# +10: at the limit, on one 2-core host, the slowest, `verify anatomy --c 0
+# --d 0`, takes 3.8-4.0 s, and theorem1 2.0-2.9 s at --jobs 1 and 1.0-1.3 s
+# at --jobs 2
 ENUM_MAX_N = 45
 
 # `match` holds two ints for each of the n * p(n) cells of --n and writes

@@ -62,6 +62,45 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
             a.append(r)
 
 
+def runs_of(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield every partition of ``n`` in ``partitions_of``'s order, as runs.
+
+    Each step is one ``(vals, mults)`` pair: the distinct parts, largest
+    first, and how many times each occurs, so the partition is ``vals[t]``
+    repeated ``mults[t]`` times for each t.  Both lists, and the pair
+    itself, are the same objects at every step, updated in place: they
+    are read-only to the caller and valid only until the next step.
+
+    A step is O(1), with no tuple built and no run of 1s scanned: drop
+    the run of 1s, take one part v off the last run, and push the freed
+    weight back as (v-1) repeated q times and one remainder part r.
+    """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    vals, mults = ([n], [1]) if n else ([], [])
+    step = (vals, mults)
+    while True:
+        yield step
+        freed = 0
+        if vals and vals[-1] == 1:
+            vals.pop()
+            freed = mults.pop()
+        if not vals:
+            return
+        v = vals[-1]
+        if mults[-1] == 1:
+            vals.pop()
+            mults.pop()
+        else:
+            mults[-1] -= 1
+        q, r = divmod(freed + v, v - 1)
+        vals.append(v - 1)
+        mults.append(q)
+        if r:
+            vals.append(r)
+            mults.append(1)
+
+
 @lru_cache(maxsize=None)
 def count_partitions(n: int) -> int:
     """Number of partitions of ``n``.

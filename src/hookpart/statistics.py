@@ -8,14 +8,17 @@ pairs through c+d+1 recovers the coarser statement that hook lengths and
 part lengths are equidistributed over the cells.
 
 Both multisets and the hook and part polynomials of n come from one
-cached sweep over the partitions of n.  Arm-left and part are expanded
-from row-length multiplicities, read from every row of every partition;
-the same row tally, run alone with no per-cell work, gives the arm-left
-multiset to ``build_pair_multiset`` and the lemma check.
-Arm-leg and hook are tallied for one partition of each conjugate pair
-only: transposing a diagram swaps every cell's arm and leg and keeps its
-hook, so the skipped member's tally is the transpose of the tallied
-one's.  Pair multisets are sparse count maps, never flattened lists.
+cached sweep over the partitions of n, walked as runs of equal parts by
+``partitions.runs_of``; no partition tuple and no conjugate is built.
+Arm-left and part are expanded from row-length multiplicities, read from
+every run of every partition; the same row tally, run alone with no
+per-cell work, gives the arm-left multiset to ``build_pair_multiset`` and
+the lemma check.  Arm-leg and hook are tallied for one partition of each
+conjugate pair only: transposing a diagram swaps every cell's arm and leg
+and keeps its hook, so the skipped member's tally is the transpose of the
+tallied one's.  Pair multisets are sparse count maps, never flattened
+lists.  (``partitions_of``, the indexed tuple enumeration, is read here
+only by fact 4.)
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from hookpart.partitions import box_gf_brute, conjugate, partitions_of
+from hookpart.partitions import box_gf_brute, partitions_of, runs_of
 from hookpart.qseries import (
     VerifyReport,
     compare_counts,
@@ -62,16 +65,19 @@ def _check_pair_stat(stat: str) -> None:
         raise ValueError(f"stat must be one of {PAIR_STATS}, got {stat!r}")
 
 
-def _rows_tallied(n: int, rows: list[int]) -> Iterator[tuple[int, ...]]:
-    """Yield every partition of n, after adding its row lengths to ``rows``.
+def _rows_tallied(n: int, rows: list[int]) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield every partition of n as runs, after adding its rows to ``rows``.
 
     The only row-length loop: ``_sweep`` iterates it and ``_row_sweep``
-    drains it, so arm-left and part are enumerated in one place.
+    drains it, so arm-left and part are enumerated in one place.  Each
+    step is ``partitions.runs_of``'s ``(vals, mults)`` pair, read-only and
+    valid until the next step; a run of m rows of length v adds m to
+    ``rows[v]`` at once.
     """
-    for parts in partitions_of(n):
-        for length in parts:
-            rows[length] += 1
-        yield parts
+    for step in runs_of(n):
+        for length, mult in zip(*step):
+            rows[length] += mult
+        yield step
 
 
 def _expand_rows(rows: list[int]) -> tuple[PairMultiset, Mapping[int, int]]:
@@ -91,7 +97,8 @@ def _expand_rows(rows: list[int]) -> tuple[PairMultiset, Mapping[int, int]]:
 def _row_sweep(n: int) -> PairMultiset:
     """The arm-left multiset of n from row lengths alone.
 
-    Drains ``_rows_tallied``: no conjugate is built and no cell visited.
+    Drains ``_rows_tallied``: a row tally per run, no partition tuple
+    built and no cell visited.
     Read-only and shared, like ``_sweep``'s results.
     """
     rows = [0] * (n + 1)
@@ -108,33 +115,64 @@ def _add_runs(counts: list[int], runs: list[int]) -> None:
         counts[idx] += run
 
 
+def _conjugate_order(vals: list[int], mults: list[int], height: int) -> int:
+    """Compare a partition's conjugate with it, lexicographically.
+
+    The partition is given as runs, ``vals[t]`` repeated ``mults[t]``
+    times, with ``height`` rows.  Returns 1, 0 or -1 as the conjugate's
+    parts tuple is larger than, equal to or smaller than the partition's,
+    read off the runs with no tuple built.  With ends[s] = mults[0] + ... + mults[s], the
+    rows of length >= vals[s], the conjugate's runs, largest part first,
+    are ends[s] repeated vals[s] - vals[s+1] times (vals[K] = 0 past the
+    last run), for s = K-1 down to 0: as many runs as the partition has.
+    Between two partitions of one n, the first run that differs in its
+    part or its multiplicity decides, and the larger value makes the
+    larger tuple.
+    """
+    below, end = 0, height
+    for part, mult, s_part, s_mult in zip(vals, mults, reversed(vals), reversed(mults)):
+        # the conjugate's run: `end` repeated s_part - below times
+        if end != part:
+            return 1 if end > part else -1
+        if s_part - below != mult:
+            return 1 if s_part - below > mult else -1
+        below, end = s_part, end - s_mult
+    return 0
+
+
 @lru_cache(maxsize=None)
 def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mapping[int, int]]:
     """Arm-leg and arm-left multisets, hook and part polynomials of n.
 
     One pass over the partitions of n, through ``_rows_tallied``: it
-    counts the row lengths of every partition as it yields it, and arm-left
-    and part are expanded from those counts by ``_expand_rows``.
+    counts the row lengths of every partition as it yields its runs
+    (``vals[t]`` repeated ``mults[t]`` times), and arm-left and part are
+    expanded from those counts by ``_expand_rows``.  No partition tuple
+    and no conjugate is built.
 
     Arm-leg and hook are tallied for one partition of each conjugate
     pair {lambda, lambda'}.  Conjugation maps cell (i, j) of lambda to
     cell (j, i) of lambda', arm and leg swapped, hook kept, so the pair
     contributes T + T^t to arm-leg and twice its hooks, where T and the
     hooks are lambda's alone.  A partition whose first part exceeds its
-    length is skipped before its conjugate is built: the conjugate's
+    length, the sum of its multiplicities, is skipped: the conjugate's
     first part is smaller than its length, and it is tallied instead.
     When the first part equals the length, the conjugate's does too, so
-    of two such distinct conjugates the larger tuple is skipped.  The
-    tallied member of a pair goes into the tables with weight two; a
-    self-conjugate partition, its own pair, with weight one.
+    of two such distinct conjugates the larger tuple is skipped, the two
+    compared in run form by ``_conjugate_order``.  The tallied member of
+    a pair goes into the tables with weight two; a self-conjugate
+    partition, its own pair, with weight one.
 
-    The tallied partition is read as blocks of equal rows, longest
-    first: the rows of length L are rows conj[L] .. conj[L-1]-1
-    (0-based, taking conj[parts[0]] = 0).  In a block of m >= 2 rows,
-    column j holds one arm, L-1-j, and m consecutive legs, so also m
-    consecutive hooks; each column adds the weight at the run's start
-    and takes it off past its end in an arm-leg and a hook difference
-    array.  A block of one row adds its cells to the count tables
+    The tallied partition is read as its runs, each a block of equal
+    rows, from the bottom up.  With ends[t] = mults[0] + ... + mults[t],
+    run t is rows ends[t-1] .. ends[t]-1 (0-based, ends[-1] = 0) of
+    length vals[t], and it adds columns vals[t+1] .. vals[t]-1, each
+    holding ends[t] cells, to the columns the runs below it reach; a
+    per-n table holds each column's share of the cell indices, shared by
+    every partition.  In a block of m >= 2 rows of length L, column j
+    holds one arm, L-1-j, and m consecutive legs, so also m consecutive
+    hooks; each column adds the weight at the run's start and takes it
+    off past its end in an arm-leg and a hook difference array.  A block of one row adds its cells to the count tables
     directly.  Once per n, the running sums of the difference arrays are
     added into the count tables, and arm-leg folded with its transpose,
     in O(n^2).  All four results are read-only: callers share these
@@ -150,28 +188,35 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
     # the hook counts.
     arm_leg, hooks = [0] * (width * width), [0] * (width + 1)
     arm_leg_runs, hook_runs = [0] * (width * width), [0] * (width + 2)
+    # table[e][j]: column j's share of a cell's arm-leg index and of its
+    # hook when the column holds e cells (conj[j] = e).  Rows 0 .. e-1
+    # then all reach column j, so the partition has at least e * (j + 1)
+    # cells and j < n // e; table[0] is never read.
+    table = [[]] + [[(e - j * width, e - j) for j in range(n // e)] for e in range(1, n + 1)]
     rows = [0] * (n + 1)
-    for parts in _rows_tallied(n, rows):
-        height = len(parts)
-        if not parts or parts[0] > height:
+    for vals, mults in _rows_tallied(n, rows):
+        height = sum(mults)
+        if not vals or vals[0] > height:
             continue
-        conj = conjugate(parts)
-        if parts[0] == height and conj < parts:
-            continue
-        weight = 1 if conj == parts else 2
-        # column j's share of a cell's arm-leg index and of its hook
-        cols = [(leg_end - j * width, leg_end - j) for j, leg_end in enumerate(conj)]
-        first = 0
-        while first < height:
-            # rows first .. last-1 all have length `length`
-            length = parts[first]
-            last = conj[length - 1]
-            del cols[length:]
+        weight = 2
+        if vals[0] == height:
+            order = _conjugate_order(vals, mults, height)
+            if order < 0:
+                continue
+            weight = 2 if order else 1
+        # blocks bottom up: rows first .. last-1 all have length
+        # `length`; the columns below .. length-1 first appear here, and
+        # each holds `last` cells
+        cols = []
+        below, last = 0, height
+        for length, mult in zip(reversed(vals), reversed(mults)):
+            cols += table[last][below:length]
+            below, first = length, last - mult
             base = (length - 1) * width
-            if last - first == 1:
-                # cell j: arm = length-1-j, leg = conj[j]-first-1
-                base -= first + 1
-                hook_base = length - first - 1
+            if mult == 1:
+                # cell j: arm = length-1-j, leg = conj[j]-last
+                base -= last
+                hook_base = length - last
                 for arm_leg_col, hook_col in cols:
                     arm_leg[base + arm_leg_col] += weight
                     hooks[hook_base + hook_col] += weight
@@ -184,7 +229,7 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
                     arm_leg_runs[stop + arm_leg_col] -= weight
                     hook_runs[hook_start + hook_col] += weight
                     hook_runs[hook_stop + hook_col] -= weight
-            first = last
+            last = first
     _add_runs(arm_leg, arm_leg_runs)
     _add_runs(hooks, hook_runs)
     # arm_leg is P = 2T + S, T over the tallied pair members and S over

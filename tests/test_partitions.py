@@ -13,6 +13,7 @@ from hookpart.partitions import (
     conjugate,
     count_partitions,
     partitions_of,
+    runs_of,
 )
 from hookpart.qseries import gauss_binomial
 
@@ -51,6 +52,43 @@ def test_enumeration_shape(n):
         assert all(a >= b for a, b in zip(parts, parts[1:]))
     # strictly decreasing lexicographic order
     assert all(a > b for a, b in zip(seen, seen[1:]))
+
+
+# --- the run-length walker ------------------------------------------------
+
+
+def expand_runs(vals, mults):
+    return tuple(part for part, mult in zip(vals, mults) for _ in range(mult))
+
+
+def test_runs_goldens():
+    assert [(list(v), list(m)) for v, m in runs_of(0)] == [([], [])]
+    assert [expand_runs(*step) for step in runs_of(4)] == list(partitions_of(4))
+    assert [(list(v), list(m)) for v, m in runs_of(4)] == [
+        ([4], [1]), ([3, 1], [1, 1]), ([2], [2]), ([2, 1], [1, 2]), ([1], [4])
+    ]
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_runs_expand_to_partitions_of(n):
+    expanded = []
+    for vals, mults in runs_of(n):
+        assert len(vals) == len(mults)
+        assert all(a > b for a, b in zip(vals, vals[1:]))  # distinct parts, largest first
+        assert all(part >= 1 for part in vals) and all(mult >= 1 for mult in mults)
+        assert sum(part * mult for part, mult in zip(vals, mults)) == n
+        expanded.append(expand_runs(vals, mults))
+    assert expanded == list(partitions_of(n))
+
+
+@pytest.mark.parametrize("n", range(61))
+def test_runs_count_partitions(n):
+    assert sum(1 for _ in runs_of(n)) == count_partitions(n)
+
+
+def test_runs_negative_rejected():
+    with pytest.raises(ValueError):
+        list(runs_of(-1))
 
 
 def test_count_partitions_goldens():

@@ -3,7 +3,14 @@ from types import MappingProxyType
 import pytest
 
 from hookpart import qseries, statistics
-from hookpart.partitions import cell_stats, cells, count_partitions, partitions_of
+from hookpart.partitions import (
+    cell_stats,
+    cells,
+    conjugate,
+    count_partitions,
+    partitions_of,
+    runs_of,
+)
 from hookpart.qseries import lemma_rhs
 from hookpart.statistics import (
     PairMultiset,
@@ -163,9 +170,9 @@ def enumerations(monkeypatch):
 
     def counting(n):
         calls.append(n)
-        return partitions_of(n)
+        return runs_of(n)
 
-    monkeypatch.setattr(statistics, "partitions_of", counting)
+    monkeypatch.setattr(statistics, "runs_of", counting)
     statistics._sweep.cache_clear()
     statistics._row_sweep.cache_clear()
     yield calls
@@ -183,12 +190,14 @@ def test_each_n_enumerated_once(enumerations):
 
 
 def test_arm_left_reads_rows_only(enumerations, monkeypatch):
-    def no_conjugate(parts):
-        raise AssertionError("the arm-left tally built a conjugate")
+    def no_sweep(n):
+        raise AssertionError("the arm-left tally ran the full sweep")
 
-    monkeypatch.setattr(statistics, "conjugate", no_conjugate)
-    assert build_pair_multiset(12, "arm-left").total == 12 * count_partitions(12)
-    assert count_pair(12, 3, 2, "arm-left") == slow_pair_counts(12, "arm-left")[(3, 2)]
+    # undone before the fixture's teardown clears the real sweep's cache
+    with monkeypatch.context() as patch:
+        patch.setattr(statistics, "_sweep", no_sweep)
+        assert build_pair_multiset(12, "arm-left").total == 12 * count_partitions(12)
+        assert count_pair(12, 3, 2, "arm-left") == slow_pair_counts(12, "arm-left")[(3, 2)]
     assert enumerations == [12]
 
 
@@ -222,6 +231,45 @@ def cell_stats_arm_leg_hooks(n):
 def test_sweep_arm_leg_and_hooks_match_cell_stats(n):
     arm_leg, _, hook_poly, _ = statistics._sweep(n)
     assert (dict(arm_leg.counts), dict(hook_poly)) == cell_stats_arm_leg_hooks(n)
+
+
+def cells_tally(n):
+    """All four sweep results, as plain dicts, by one pass over ``cells``."""
+    arm_leg, arm_left, hooks, part_poly = {}, {}, {}, {}
+    for parts in partitions_of(n):
+        for _, stats in cells(parts):
+            for table, key in (
+                (arm_leg, (stats.arm, stats.leg)),
+                (arm_left, (stats.arm, stats.left)),
+                (hooks, stats.hook),
+                (part_poly, stats.part),
+            ):
+                table[key] = table.get(key, 0) + 1
+    return arm_leg, arm_left, hooks, part_poly
+
+
+# n = 24 and 30 hold 47 and 159 pairs of distinct conjugates whose first
+# part equals their length, and 11 and 18 self-conjugates
+@pytest.mark.parametrize("n", [24, 30])
+def test_sweep_matches_cells_tally(n):
+    arm_leg, arm_left, hook_poly, part_poly = statistics._sweep(n)
+    swept = (dict(arm_leg.counts), dict(arm_left.counts), dict(hook_poly), dict(part_poly))
+    assert swept == cells_tally(n)
+
+
+def runs(parts):
+    """A partition tuple as ``runs_of``'s (vals, mults) lists."""
+    vals = sorted(set(parts), reverse=True)
+    return vals, [parts.count(part) for part in vals]
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_conjugate_order_matches_tuples(n):
+    for parts in partitions_of(n):
+        if parts and parts[0] == len(parts):
+            conj = conjugate(parts)
+            expected = (conj > parts) - (conj < parts)
+            assert statistics._conjugate_order(*runs(parts), len(parts)) == expected, parts
 
 
 @pytest.mark.parametrize("n", range(26))
