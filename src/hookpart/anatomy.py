@@ -26,7 +26,7 @@ from collections import Counter
 from typing import Iterator, NamedTuple
 
 from hookpart import statistics
-from hookpart.partitions import partitions_of
+from hookpart.partitions import runs_of
 from hookpart.qseries import (
     QSeries,
     VerifyReport,
@@ -104,25 +104,29 @@ def _corner_counts(c: int, d: int, n: int) -> dict[tuple[int, int], int]:
     """Brute counts for every corner at once: how many partitions of n have
     a cell with arm c and leg d at (i+1, j+1), keyed by (i, j).
 
-    One pass over the partitions of n.  Row i+1's arm-c cell sits in
-    column col = parts[i] - c; its leg is d exactly when row i+d+1 still
-    reaches that column and row i+d+2 is absent or shorter.  Rows only
-    shrink, so the scan of a partition stops at the first row too short
-    to hold an arm of c.
+    One pass over ``partitions.runs_of``'s runs, no tuple built.  A run of
+    m rows of length L from row ``top`` (0-based) has its arm-c cells in
+    column col = L - c; with ``height`` rows reaching col, row i's leg
+    there is height - 1 - i, so row height - 1 - d counts if in the run.
+    Rows only shrink, so col falls run by run, a forward-only pointer
+    over the runs finds ``height``, and the scan stops at the first run
+    too short to hold an arm of c.
     """
     counts: dict[tuple[int, int], int] = {}
-    for parts in partitions_of(n):
-        height = len(parts)
-        for i, length in enumerate(parts):
+    for vals, mults in runs_of(n):
+        top = height = reach = 0
+        for length, mult in zip(vals, mults):
             col = length - c
             if col < 1:
                 break
-            last = i + d
-            if last < height and parts[last] >= col and (
-                last + 1 == height or parts[last + 1] < col
-            ):
+            while reach < len(vals) and vals[reach] >= col:
+                height += mults[reach]
+                reach += 1
+            i = height - 1 - d
+            if top <= i < top + mult:
                 key = (i, col - 1)
                 counts[key] = counts.get(key, 0) + 1
+            top += mult
     return counts
 
 
@@ -174,21 +178,20 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
             expected=0,
             actual=sum(counts.get((i, j), 0) for counts in brute),
         )
-    summed = [0] * (n_max + 1)
-    for i, j in placements:
-        series = anatomy_gf(c, d, i, j, n_max)
-        for n, counts in enumerate(brute):
-            coeff = series.coefficient(n)
-            expected = counts.get((i, j), 0)
-            if coeff != expected:
-                return VerifyReport.failure(
-                    context, where=("corner", i, j, n), expected=expected, actual=coeff
-                )
-            summed[n] += coeff
+    series = {(i, j): anatomy_gf(c, d, i, j, n_max).coeffs for i, j in placements}
+    # sorted, the keys follow the placements; zero counts are left out (a
+    # missing key counts as 0), which keeps both maps small
+    report = compare_counts(
+        context,
+        {("corner", *ij, n): cnt for n, counts in enumerate(brute) for ij, cnt in counts.items()},
+        {("corner", *ij, n): cnt for ij, row in series.items() for n, cnt in enumerate(row) if cnt},
+    )
+    if not report.passed:
+        return report
     return compare_counts(
         context,
         {n: statistics.count_pair(n, c, d, "arm-leg") for n in range(n_max + 1)},
-        dict(enumerate(summed)),
+        {n: sum(coeffs[n] for coeffs in series.values()) for n in range(n_max + 1)},
         "corner-sum",
     )
 

@@ -28,7 +28,8 @@ INTERNAL_ERROR = 3
 FACT_ARGS = {1: ("a", "k", "trunc"), 2: ("k", "trunc"), 3: ("m", "n"), 4: ("m", "trunc")}
 
 # fact 4 enumerates every partition of every n <= --trunc, about 2.4x the
-# cost per +5: order 60 takes about 10 s on one 2-core host, order 100 hours
+# cost per +5: order 60 (m = 5) takes 4.1-8.1 s, median 5.8 s over eleven
+# runs, on one 2-core host, order 100 hours
 FACT4_MAX_ORDER = 60
 
 # fact 3 enumerates all C(m+n, m) partitions in the m-by-n box and builds
@@ -67,14 +68,30 @@ SERIES_MAX_ORDER = 6000
 # theorem1, identity1, lemma and anatomy enumerate every partition of every
 # n <= --n-max, and multiset every partition of --n, about 6x the cost per
 # +10: at the limit, on one 2-core host, the slowest, `verify anatomy --c 0
-# --d 0`, takes 3.8-4.0 s, and theorem1 2.0-2.9 s at --jobs 1 and 1.0-1.3 s
-# at --jobs 2
+# --d 0`, takes 3.4-5.4 s, median 4.1 s over fourteen runs, and theorem1
+# 2.0-2.9 s at --jobs 1 and 1.0-1.3 s at --jobs 2
 ENUM_MAX_N = 45
 
 # `match` holds two ints for each of the n * p(n) cells of --n and writes
 # a row for each: at the limit each format takes 2.1-2.4 s with a peak RSS
 # of 39 MB on one 2-core host (0.27-0.32 s and 17.5 MB at n = 30)
 MATCH_MAX_N = 40
+
+# (command, flag) -> the flag's largest value, for every bound on one flag;
+# `_check_args` checks them after the compound bounds, which it reports first
+_BOUNDS = {
+    ("euler-inv", "trunc"): SERIES_MAX_ORDER,
+    ("gauss", "trunc"): GAUSS_MAX_AREA,
+    ("lemma-rhs", "trunc"): SERIES_MAX_ORDER,
+    ("multiset", "n"): ENUM_MAX_N,
+    ("match", "n"): MATCH_MAX_N,
+    ("fact 1", "trunc"): SERIES_MAX_ORDER,
+    ("fact 2", "trunc"): SERIES_MAX_ORDER,
+    ("fact 4", "trunc"): FACT4_MAX_ORDER,
+    ("chain", "trunc"): CHAIN_MAX_ORDER,
+    # every --n-max is an enumeration range
+    **{(check, "n-max"): ENUM_MAX_N for check in ("theorem1", "identity1", "lemma", "anatomy")},
+}
 
 
 def _nonneg(text: str) -> int:
@@ -442,47 +459,36 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             parser.error(f"--out: directory {directory!r} does not exist")
         if not os.access(directory, os.W_OK):
             parser.error(f"--out: directory {directory!r} is not writable")
-    if args.command == "series" and args.kind == "gauss":
-        if max(args.m, args.n, args.m * args.n) > GAUSS_MAX_AREA:
-            parser.error(
-                f"gauss: --m ({args.m}), --n ({args.n}) and their product "
-                f"must not exceed {GAUSS_MAX_AREA}"
-            )
-    if args.command == "series":
-        cap = GAUSS_MAX_AREA if args.kind == "gauss" else SERIES_MAX_ORDER
-        if args.trunc is not None and args.trunc > cap:
-            parser.error(f"{args.kind}: --trunc ({args.trunc}) must not exceed {cap}")
-    if args.command == "multiset" and args.n > ENUM_MAX_N:
-        parser.error(f"multiset: --n ({args.n}) must not exceed {ENUM_MAX_N}")
-    if args.command == "match" and args.n > MATCH_MAX_N:
-        parser.error(f"match: --n ({args.n}) must not exceed {MATCH_MAX_N}")
-    if args.command != "verify":
-        return
-    if args.check == "fact":
+    # the command as its messages name it: the series kind, the check, "fact <id>"
+    label = getattr(args, "kind", None) or getattr(args, "check", None) or args.command
+    if label == "gauss" and max(args.m, args.n, args.m * args.n) > GAUSS_MAX_AREA:
+        parser.error(
+            f"gauss: --m ({args.m}), --n ({args.n}) and their product "
+            f"must not exceed {GAUSS_MAX_AREA}"
+        )
+    if label == "fact":
+        label = f"fact {args.fact_id}"
         missing = [name for name in FACT_ARGS[args.fact_id] if getattr(args, name) is None]
         if missing:
             flags = ", ".join("--" + name for name in missing)
-            parser.error(f"fact {args.fact_id} requires {flags}")
-        cap = {1: SERIES_MAX_ORDER, 2: SERIES_MAX_ORDER, 4: FACT4_MAX_ORDER}.get(args.fact_id)
-        if cap is not None and args.trunc > cap:
-            parser.error(f"fact {args.fact_id}: --trunc ({args.trunc}) must not exceed {cap}")
-        if args.fact_id == 3:
-            if max(args.m, args.n, args.m * args.n) > FACT3_MAX_AREA:
-                parser.error(
-                    f"fact 3: --m ({args.m}), --n ({args.n}) and their product "
-                    f"must not exceed {FACT3_MAX_AREA}"
-                )
-            if math.comb(args.m + args.n, args.m) > FACT3_MAX_BOX_PARTITIONS:
-                parser.error(
-                    f"fact 3: the {args.m}x{args.n} box holds C({args.m + args.n}, {args.m}) "
-                    f"partitions, more than {FACT3_MAX_BOX_PARTITIONS}"
-                )
-    elif args.check in ("lemma", "anatomy") and args.n_max > args.trunc:
+            parser.error(f"{label} requires {flags}")
+    if label == "fact 3":
+        if max(args.m, args.n, args.m * args.n) > FACT3_MAX_AREA:
+            parser.error(
+                f"fact 3: --m ({args.m}), --n ({args.n}) and their product "
+                f"must not exceed {FACT3_MAX_AREA}"
+            )
+        if math.comb(args.m + args.n, args.m) > FACT3_MAX_BOX_PARTITIONS:
+            parser.error(
+                f"fact 3: the {args.m}x{args.n} box holds C({args.m + args.n}, {args.m}) "
+                f"partitions, more than {FACT3_MAX_BOX_PARTITIONS}"
+            )
+    if label in ("lemma", "anatomy") and args.n_max > args.trunc:
         parser.error(f"n_max ({args.n_max}) must not exceed the series order ({args.trunc})")
-    elif args.check == "chain" and args.trunc > CHAIN_MAX_ORDER:
-        parser.error(f"chain: --trunc ({args.trunc}) must not exceed {CHAIN_MAX_ORDER}")
-    if getattr(args, "n_max", 0) > ENUM_MAX_N:  # every --n-max is an enumeration range
-        parser.error(f"{args.check}: --n-max ({args.n_max}) must not exceed {ENUM_MAX_N}")
+    for (command, flag), cap in _BOUNDS.items():
+        value = getattr(args, flag.replace("-", "_"), None)
+        if command == label and value is not None and value > cap:
+            parser.error(f"{label}: --{flag} ({value}) must not exceed {cap}")
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:

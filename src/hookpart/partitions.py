@@ -32,48 +32,36 @@ class CellStats(NamedTuple):
 
 
 def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every partition of ``n`` exactly once, largest-first.
+    """Yield every partition of ``n`` exactly once, largest-first, as tuples.
 
-    The order is descending lexicographic on the parts sequence, e.g. for
-    n=4: (4,), (3,1), (2,2), (2,1,1), (1,1,1,1).  This fixed order is what
-    gives partition indices their meaning elsewhere in the package.
+    The tuple view of ``runs_of``, in its order: descending lexicographic
+    on the parts sequence, e.g. for n=4: (4,), (3,1), (2,2), (2,1,1),
+    (1,1,1,1).  This fixed order is what gives partition indices their
+    meaning elsewhere in the package.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        yield ()
-        return
-    a = [n]
-    while True:
-        yield tuple(a)
-        # Find the rightmost part > 1; everything after it is a run of 1s.
-        j = len(a) - 1
-        while j >= 0 and a[j] == 1:
-            j -= 1
-        if j < 0:
-            return
-        # Shrink that part by one and re-pack the freed weight greedily.
-        v = a[j] - 1
-        rem = a[j] + (len(a) - 1 - j)
-        del a[j:]
-        q, r = divmod(rem, v)
-        a.extend([v] * q)
-        if r:
-            a.append(r)
+    for vals, mults in runs_of(n):
+        parts: tuple[int, ...] = ()
+        for part, mult in zip(vals, mults):
+            parts += (part,) * mult
+        yield parts
 
 
 def runs_of(n: int) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield every partition of ``n`` in ``partitions_of``'s order, as runs.
+    """Yield every partition of ``n`` exactly once, largest-first, as runs.
 
-    Each step is one ``(vals, mults)`` pair: the distinct parts, largest
-    first, and how many times each occurs, so the partition is ``vals[t]``
-    repeated ``mults[t]`` times for each t.  Both lists, and the pair
-    itself, are the same objects at every step, updated in place: they
-    are read-only to the caller and valid only until the next step.
+    The package's only partition walk: its order, descending lexicographic
+    on the parts sequence, is the order ``partitions_of`` yields and every
+    partition index refers to.  Each step is one ``(vals, mults)`` pair:
+    the distinct parts, largest first, and how many times each occurs, so
+    the partition is ``vals[t]`` repeated ``mults[t]`` times for each t.
+    Both lists, and the pair itself, are the same objects at every step,
+    updated in place: they are read-only to the caller and valid only
+    until the next step.
 
     A step is O(1), with no tuple built and no run of 1s scanned: drop
     the run of 1s, take one part v off the last run, and push the freed
-    weight back as (v-1) repeated q times and one remainder part r.
+    weight back as (v-1) repeated q times and one remainder part r
+    (Zoghbi and Stojmenovic's ZS1, in multiplicity form).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -106,8 +94,8 @@ def count_partitions(n: int) -> int:
     """Number of partitions of ``n``.
 
     Computed by the bounded-largest-part recurrence (a coin-change style
-    table), deliberately independent of both ``partitions_of`` and the
-    series engine so the three can cross-check each other.
+    table), deliberately independent of both ``runs_of`` and the series
+    engine so the three can cross-check each other.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")

@@ -17,8 +17,7 @@ the lemma check.  Arm-leg and hook are tallied for one partition of each
 conjugate pair only: transposing a diagram swaps every cell's arm and leg
 and keeps its hook, so the skipped member's tally is the transpose of the
 tallied one's.  Pair multisets are sparse count maps, never flattened
-lists.  (``partitions_of``, the indexed tuple enumeration, is read here
-only by fact 4.)
+lists.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from itertools import accumulate
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from hookpart.partitions import box_gf_brute, partitions_of, runs_of
+from hookpart.partitions import box_gf_brute, runs_of
 from hookpart.qseries import (
     VerifyReport,
     compare_counts,
@@ -386,7 +385,9 @@ def verify_fact4(m: int, order: int) -> VerifyReport:
     <= m (found by enumeration) must match the series coefficient
     (reported as ``parts<=m``), and by transposition the same number must
     count partitions with at most m parts (``conjugate``).  The first
-    check runs over every n before the second.
+    check runs over every n before the second.  The enumeration reads
+    ``partitions.runs_of``'s runs, with no tuple built: the largest part
+    is ``vals[0]`` and the number of parts ``sum(mults)``.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
@@ -396,9 +397,9 @@ def verify_fact4(m: int, order: int) -> VerifyReport:
     bounded_len = {}
     for n in range(order + 1):
         bounded_part[n] = bounded_len[n] = 0
-        for parts in partitions_of(n):
-            bounded_part[n] += not parts or parts[0] <= m
-            bounded_len[n] += len(parts) <= m
+        for vals, mults in runs_of(n):
+            bounded_part[n] += not vals or vals[0] <= m
+            bounded_len[n] += sum(mults) <= m
     report = compare_counts(context, dict(enumerate(series.coeffs)), bounded_part, "parts<=m")
     if not report.passed:
         return report

@@ -78,9 +78,9 @@ def cell_stats_corner_counts(c, d, n):
     return counts
 
 
-@pytest.mark.parametrize("c,d", list(itertools.product(range(4), repeat=2)))
+@pytest.mark.parametrize("c,d", list(itertools.product(range(5), repeat=2)))
 def test_corner_counts_match_cell_stats(c, d):
-    for n in range(13):
+    for n in range(19):
         assert _corner_counts(c, d, n) == cell_stats_corner_counts(c, d, n), n
 
 

@@ -104,14 +104,14 @@ def test_fact1_report(monkeypatch):
 @pytest.mark.parametrize(
     "dropped,where,expected,actual",
     [
-        ((1, 1, 1, 1), ("parts<=m", 4), 3, 2),  # parts <= 2, but more than 2 of them
-        ((4,), ("conjugate", 4), 3, 2),  # at most 2 parts, but a part above 2
+        (([1], [4]), ("parts<=m", 4), 3, 2),  # (1, 1, 1, 1): parts <= 2, but more than 2 of them
+        (([4], [1]), ("conjugate", 4), 3, 2),  # (4,): at most 2 parts, but a part above 2
     ],
 )
 def test_fact4_report(monkeypatch, dropped, where, expected, actual):
-    original = statistics.partitions_of
+    original = statistics.runs_of
     monkeypatch.setattr(
-        statistics, "partitions_of", lambda n: (p for p in original(n) if p != dropped)
+        statistics, "runs_of", lambda n: (step for step in original(n) if step != dropped)
     )
     report = statistics.verify_fact4(2, 6)
     assert_failure(report, "fact4(m=2, order=6)", where, expected, actual)
