@@ -32,6 +32,7 @@ from hookpart.qseries import (
     VerifyReport,
     compare_counts,
     compare_series,
+    euler_inv,
     euler_sum,
     gauss_binomial,
     gauss_sum,
@@ -203,7 +204,7 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
 
 def _euler_prefix(c: int, d: int, order: int) -> QSeries:
     """q^(c+d+1) / (q)_inf, common head of the late chain stages."""
-    return make_monomial(c + d + 1, order) * q_pochhammer(1, None, order).invert()
+    return make_monomial(c + d + 1, order) * euler_inv(order)
 
 
 def _box_prefactor(c: int, d: int, order: int) -> QSeries:

@@ -442,7 +442,6 @@ def _cmd_multiset(args: argparse.Namespace) -> int:
     return 0
 
 
-@explorer._without_cyclic_gc  # one pause over build, render and writes
 def _cmd_match(args: argparse.Namespace) -> int:
     table = explorer.matching_table(args.n)
     _emit(_render_matching(table, args.format), args.out)

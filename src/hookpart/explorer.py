@@ -15,7 +15,7 @@ import gc
 from array import array
 from collections import Counter, defaultdict
 from itertools import accumulate
-from typing import Any, Callable, NamedTuple, ParamSpec, TypeVar
+from typing import Any, NamedTuple
 
 from hookpart.partitions import cells, partitions_of
 from hookpart.qseries import VerifyReport, compare_counts
@@ -40,43 +40,6 @@ class Matching(NamedTuple):
 
     n: int
     pairs: tuple[tuple[CellRef, CellRef], ...]
-
-
-_P = ParamSpec("_P")
-_R = TypeVar("_R")
-
-
-def _without_cyclic_gc(fn: Callable[_P, _R]) -> Callable[_P, _R]:
-    """Run fn with the cyclic garbage collector paused (Mercurial's
-    ``util.nogc`` pattern), restoring on exit the state it found, so a
-    caller that had it off keeps it off.
-
-    This is safe for the functions wrapped here: they allocate only
-    ``CellRef``s, tuples, lists, arrays and dicts of ints, and nothing
-    refers back, so no cycle can form and reference counting frees
-    everything exactly as before.  In place of the collections that would
-    run during ``canonical_matching``'s tuple of ``CellRef`` pairs or
-    ``verify_matching``'s lists of refs and reclaim nothing, the
-    collector's next run, after fn returns, traverses the survivors once.
-
-    ``cli._cmd_match`` is wrapped too, so that one pause spans the table's
-    build, the render and the writes.  What it keeps is arrays and strs,
-    which the collector does not track, and its temporaries are freed by
-    reference counting.  Nested pauses are safe, since each restores the
-    state it found.
-    """
-
-    @functools.wraps(fn)
-    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
 
 
 class MatchingTable(NamedTuple):
@@ -132,25 +95,50 @@ def matching_table(n: int) -> MatchingTable:
     return MatchingTable(n, cell, target)
 
 
-@_without_cyclic_gc
 def canonical_matching(n: int) -> Matching:
     """The reference matching for weight n, as ``CellRef`` pairs sorted by
-    source: ``matching_table(n)`` with each position made a ``CellRef``."""
-    table = matching_table(n)
-    # CellRef's own __new__ is a Python-level wrapper around this call
-    refs = [
-        tuple.__new__(CellRef, (k // n, at // n + 1, at % n + 1)) for k, at in enumerate(table.cell)
-    ]
-    return Matching(n=n, pairs=tuple(zip(refs, map(refs.__getitem__, table.target))))
+    source: ``matching_table(n)`` with each position made a ``CellRef``.
+
+    The whole build runs with the cyclic garbage collector paused, and on
+    exit the collector is left as it was found, so a caller that had it
+    off keeps it off.  The result holds about n * p(n) ``CellRef`` pairs;
+    without the pause the collector would run over them 480 times while
+    they are built at n = 30 (CPython 3.11), in every generation, and
+    reclaim nothing.  The build allocates only ``CellRef``s, tuples,
+    lists, arrays and dicts of ints, and nothing refers back, so no cycle
+    can form and reference counting frees everything as before.  The
+    collector's next run, after the return, traverses the survivors once.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table = matching_table(n)
+        # CellRef's own __new__ is a Python-level wrapper around this call
+        refs = [
+            tuple.__new__(CellRef, (k // n, at // n + 1, at % n + 1))
+            for k, at in enumerate(table.cell)
+        ]
+        return Matching(n=n, pairs=tuple(zip(refs, map(refs.__getitem__, table.target))))
+    finally:
+        if enabled:
+            gc.enable()
 
 
-def _row_starts(n: int) -> list[tuple[int, ...]]:
-    """For each partition of n, in enumeration order, the positions at
-    which its rows start, then the position after its last cell.  Every
-    partition of n has n cells, so partition i starts at i * n."""
-    return [
-        tuple(accumulate(parts, initial=index * n)) for index, parts in enumerate(partitions_of(n))
-    ]
+def _cell_columns(n: int) -> tuple[array, array, array, list[tuple[int, ...]]]:
+    """The arm, leg and left of every cell of n, as three columns in
+    enumeration order, and for each partition the positions at which its
+    rows start, then the position after its last cell, from one walk over
+    the partitions of n.  Every partition of n has n cells, so partition
+    i starts at i * n."""
+    arm, leg, left = array("i"), array("i"), array("i")
+    row_starts = []
+    for parts in partitions_of(n):
+        row_starts.append(tuple(accumulate(parts, initial=len(arm))))
+        for _, stats in cells(parts):
+            arm.append(stats.arm)
+            leg.append(stats.leg)
+            left.append(stats.left)
+    return arm, leg, left, row_starts
 
 
 def _position(row_starts: list[tuple[int, ...]], ref: Any) -> int:
@@ -165,7 +153,6 @@ def _position(row_starts: list[tuple[int, ...]], ref: Any) -> int:
     return -1
 
 
-@_without_cyclic_gc
 def verify_matching(matching: Matching) -> VerifyReport:
     """Check both matching invariants.
 
@@ -179,13 +166,7 @@ def verify_matching(matching: Matching) -> VerifyReport:
     """
     n = matching.n
     context = f"matching(n={n}, pairs={len(matching.pairs)})"
-    arm, leg, left = array("i"), array("i"), array("i")
-    for parts in partitions_of(n):
-        for _, stats in cells(parts):
-            arm.append(stats.arm)
-            leg.append(stats.leg)
-            left.append(stats.left)
-    row_starts = _row_starts(n)
+    arm, leg, left, row_starts = _cell_columns(n)
     position = functools.partial(_position, row_starts)
 
     places = []

@@ -14,10 +14,11 @@ Arm-left and part are expanded from row-length multiplicities, read from
 every run of every partition; the same row tally, run alone with no
 per-cell work, gives the arm-left multiset to ``build_pair_multiset`` and
 the lemma check.  Arm-leg and hook are tallied for one partition of each
-conjugate pair only: transposing a diagram swaps every cell's arm and leg
-and keeps its hook, so the skipped member's tally is the transpose of the
-tallied one's.  Pair multisets are sparse count maps, never flattened
-lists.
+conjugate pair whose first part differs from its length, and for every
+partition whose first part equals it: transposing a diagram swaps every
+cell's arm and leg and keeps its hook, so a skipped partition's tally is
+the transpose of its conjugate's.  Pair multisets are sparse count maps,
+never flattened lists.
 """
 
 from __future__ import annotations
@@ -114,31 +115,6 @@ def _add_runs(counts: list[int], runs: list[int]) -> None:
         counts[idx] += run
 
 
-def _conjugate_order(vals: list[int], mults: list[int], height: int) -> int:
-    """Compare a partition's conjugate with it, lexicographically.
-
-    The partition is given as runs, ``vals[t]`` repeated ``mults[t]``
-    times, with ``height`` rows.  Returns 1, 0 or -1 as the conjugate's
-    parts tuple is larger than, equal to or smaller than the partition's,
-    read off the runs with no tuple built.  With ends[s] = mults[0] + ... + mults[s], the
-    rows of length >= vals[s], the conjugate's runs, largest part first,
-    are ends[s] repeated vals[s] - vals[s+1] times (vals[K] = 0 past the
-    last run), for s = K-1 down to 0: as many runs as the partition has.
-    Between two partitions of one n, the first run that differs in its
-    part or its multiplicity decides, and the larger value makes the
-    larger tuple.
-    """
-    below, end = 0, height
-    for part, mult, s_part, s_mult in zip(vals, mults, reversed(vals), reversed(mults)):
-        # the conjugate's run: `end` repeated s_part - below times
-        if end != part:
-            return 1 if end > part else -1
-        if s_part - below != mult:
-            return 1 if s_part - below > mult else -1
-        below, end = s_part, end - s_mult
-    return 0
-
-
 @lru_cache(maxsize=None)
 def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mapping[int, int]]:
     """Arm-leg and arm-left multisets, hook and part polynomials of n.
@@ -149,18 +125,16 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
     expanded from those counts by ``_expand_rows``.  No partition tuple
     and no conjugate is built.
 
-    Arm-leg and hook are tallied for one partition of each conjugate
-    pair {lambda, lambda'}.  Conjugation maps cell (i, j) of lambda to
-    cell (j, i) of lambda', arm and leg swapped, hook kept, so the pair
-    contributes T + T^t to arm-leg and twice its hooks, where T and the
-    hooks are lambda's alone.  A partition whose first part exceeds its
-    length, the sum of its multiplicities, is skipped: the conjugate's
-    first part is smaller than its length, and it is tallied instead.
-    When the first part equals the length, the conjugate's does too, so
-    of two such distinct conjugates the larger tuple is skipped, the two
-    compared in run form by ``_conjugate_order``.  The tallied member of
-    a pair goes into the tables with weight two; a self-conjugate
-    partition, its own pair, with weight one.
+    Conjugation maps cell (i, j) of lambda to cell (j, i) of lambda',
+    arm and leg swapped, hook kept, so a conjugate pair {lambda,
+    lambda'} contributes T + T^t to arm-leg and twice its hooks, where T
+    and the hooks are lambda's alone.  A partition whose first part
+    exceeds its length, the sum of its multiplicities, is skipped: the
+    conjugate's first part is smaller than its length, and it is tallied
+    instead, with weight two.  A partition whose first part equals its
+    length (a tie) has a conjugate that is a tie too, so every tie is
+    tallied, with weight one: both members of a pair of distinct
+    conjugate ties, and a self-conjugate partition once.
 
     The tallied partition is read as its runs, each a block of equal
     rows, from the bottom up.  With ends[t] = mults[0] + ... + mults[t],
@@ -197,12 +171,7 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
         height = sum(mults)
         if not vals or vals[0] > height:
             continue
-        weight = 2
-        if vals[0] == height:
-            order = _conjugate_order(vals, mults, height)
-            if order < 0:
-                continue
-            weight = 2 if order else 1
+        weight = 1 if vals[0] == height else 2
         # blocks bottom up: rows first .. last-1 all have length
         # `length`; the columns below .. length-1 first appear here, and
         # each holds `last` cells
@@ -231,9 +200,9 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
             last = first
     _add_runs(arm_leg, arm_leg_runs)
     _add_runs(hooks, hook_runs)
-    # arm_leg is P = 2T + S, T over the tallied pair members and S over
-    # the self-conjugates; S is symmetric, so P + P^t is even and half of
-    # it is T + T^t + S exactly
+    # arm_leg is P = 2T + S, T over the partitions tallied with weight
+    # two and S over the ties; the ties are closed under conjugation, so S
+    # is symmetric, P + P^t is even and half of it is T + T^t + S exactly
     leg_pairs = {}
     for c in range(width):
         for d in range(width):

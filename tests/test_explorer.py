@@ -1,10 +1,9 @@
-import argparse
 import gc
 import sys
 
 import pytest
 
-from hookpart import cli, explorer
+from hookpart import explorer
 from hookpart.explorer import (
     CellRef,
     IdentityViolation,
@@ -12,7 +11,7 @@ from hookpart.explorer import (
     canonical_matching,
     verify_matching,
 )
-from hookpart.partitions import cells, partitions_of
+from hookpart.partitions import cells, count_partitions, partitions_of
 from hookpart.statistics import build_pair_multiset
 
 
@@ -92,7 +91,10 @@ def test_table_positions_round_trip(n):
     ]
     decoded = [(k // n, at // n + 1, at % n + 1) for k, at in enumerate(table.cell)]
     assert decoded == refs
-    starts = explorer._row_starts(n)
+    arm, leg, left, starts = explorer._cell_columns(n)
+    assert list(zip(arm, leg, left)) == [
+        (stats.arm, stats.leg, stats.left) for parts in partitions_of(n) for _, stats in cells(parts)
+    ]
     assert [explorer._position(starts, ref) for ref in refs] == list(range(len(refs)))
     assert sorted(table.target) == list(range(len(refs)))
     outside = [(-1, 1, 1), (len(starts), 1, 1)]
@@ -177,25 +179,20 @@ def test_negative_weight_rejected():
         canonical_matching(-1)
 
 
-# --- cyclic GC paused while a matching is built or checked ------------------
+# --- cyclic GC paused while the canonical matching is built -----------------
 
 
 @pytest.fixture
 def collections_inside():
-    """Names of the functions, canonical_matching, verify_matching or
-    cli._cmd_match, that were running when a collection started.  Judged by
-    the stack, so the one collection that may follow a return does not
-    count."""
-    codes = {
-        getattr(fn, "__wrapped__", fn).__code__
-        for fn in (canonical_matching, verify_matching, cli._cmd_match)
-    }
+    """One entry per collection that started while canonical_matching was
+    running.  Judged by the stack, so the one collection that may follow
+    its return does not count."""
     inside = []
 
     def record(phase, info):
         frame = sys._getframe().f_back
         while phase == "start" and frame is not None:
-            if frame.f_code in codes:
+            if frame.f_code is canonical_matching.__code__:
                 inside.append(frame.f_code.co_name)
                 break
             frame = frame.f_back
@@ -214,25 +211,14 @@ def gc_state(request):
     (gc.enable if was_enabled else gc.disable)()
 
 
-def match_args(n):
-    return argparse.Namespace(n=n, format="csv", out=None)
-
-
-def test_build_and_verify_run_no_collection(collections_inside, capsys):
+def test_build_and_verify_run_no_collection(collections_inside):
     assert gc.isenabled()  # else the test shows nothing
-    assert verify_matching(canonical_matching(20)).passed
-    for fmt in ("text", "csv", "json"):
-        assert cli.run(["match", "--n", "20", "--format", fmt]) == 0
-        assert capsys.readouterr().out
+    assert len(canonical_matching(30).pairs) == 30 * count_partitions(30)
     assert collections_inside == []
 
 
-def test_gc_state_restored(gc_state, capsys):
-    matching = canonical_matching(6)
-    assert gc.isenabled() is gc_state
-    assert verify_matching(matching).passed
-    assert gc.isenabled() is gc_state
-    assert cli._cmd_match(match_args(6)) == 0
+def test_gc_state_restored(gc_state):
+    canonical_matching(6)
     assert gc.isenabled() is gc_state
 
 
@@ -244,26 +230,9 @@ def _violating_cells(parts):
         yield cell, stats
 
 
-def _raising_cells(parts):
-    raise IdentityViolation("injected")
-    yield  # pragma: no cover
-
-
-def _raising_render(matching, fmt):
-    raise IdentityViolation("injected")
-
-
-@pytest.mark.parametrize(
-    "call,module,name,fault",
-    [
-        (lambda: canonical_matching(3), explorer, "cells", _violating_cells),
-        (lambda: verify_matching(Matching(n=3, pairs=())), explorer, "cells", _raising_cells),
-        (lambda: cli._cmd_match(match_args(3)), cli, "_render_matching", _raising_render),
-    ],
-    ids=["canonical_matching", "verify_matching", "_cmd_match"],
-)
-def test_gc_state_restored_when_raising(gc_state, monkeypatch, call, module, name, fault):
-    monkeypatch.setattr(module, name, fault)
+@pytest.mark.parametrize("fault", [_violating_cells], ids=["canonical_matching"])
+def test_gc_state_restored_when_raising(gc_state, monkeypatch, fault):
+    monkeypatch.setattr(explorer, "cells", fault)
     with pytest.raises(IdentityViolation):
-        call()
+        canonical_matching(3)
     assert gc.isenabled() is gc_state

@@ -6,7 +6,6 @@ from hookpart import qseries, statistics
 from hookpart.partitions import (
     cell_stats,
     cells,
-    conjugate,
     count_partitions,
     partitions_of,
     runs_of,
@@ -255,21 +254,6 @@ def test_sweep_matches_cells_tally(n):
     arm_leg, arm_left, hook_poly, part_poly = statistics._sweep(n)
     swept = (dict(arm_leg.counts), dict(arm_left.counts), dict(hook_poly), dict(part_poly))
     assert swept == cells_tally(n)
-
-
-def runs(parts):
-    """A partition tuple as ``runs_of``'s (vals, mults) lists."""
-    vals = sorted(set(parts), reverse=True)
-    return vals, [parts.count(part) for part in vals]
-
-
-@pytest.mark.parametrize("n", range(31))
-def test_conjugate_order_matches_tuples(n):
-    for parts in partitions_of(n):
-        if parts and parts[0] == len(parts):
-            conj = conjugate(parts)
-            expected = (conj > parts) - (conj < parts)
-            assert statistics._conjugate_order(*runs(parts), len(parts)) == expected, parts
 
 
 @pytest.mark.parametrize("n", range(26))
