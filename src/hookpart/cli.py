@@ -73,8 +73,8 @@ SERIES_MAX_ORDER = 6000
 ENUM_MAX_N = 45
 
 # `match` holds two ints for each of the n * p(n) cells of --n and writes
-# a row for each: at the limit each format takes 2.1-2.4 s with a peak RSS
-# of 39 MB on one 2-core host (0.27-0.32 s and 17.5 MB at n = 30)
+# a row for each: at the limit csv and json each take 1.8-2.3 s with a peak
+# RSS of 39 MB on one 2-core host (0.21-0.35 s and 17.5 MB at n = 30)
 MATCH_MAX_N = 40
 
 # (command, flag) -> the flag's largest value, for every bound on one flag;

@@ -15,9 +15,10 @@ import gc
 from array import array
 from collections import Counter, defaultdict
 from itertools import accumulate
+from operator import add
 from typing import Any, NamedTuple
 
-from hookpart.partitions import cells, partitions_of
+from hookpart.partitions import cells, partitions_of, runs_of
 from hookpart.qseries import VerifyReport, compare_counts
 
 
@@ -59,29 +60,65 @@ class MatchingTable(NamedTuple):
     target: array
 
 
+def _column_heights(vals: list[int], mults: list[int]) -> list[int]:
+    """The column heights of the partition with runs ``(vals, mults)``,
+    left to right: column j (0-based) holds one cell of every row longer
+    than j.  Read bottom up: every row reaches the shortest run's columns,
+    and the columns each run above adds hold that run and the rows above."""
+    heights: list[int] = []
+    rows = sum(mults)
+    for length, mult in zip(reversed(vals), reversed(mults)):
+        heights += [rows] * (length - len(heights))
+        rows -= mult
+    return heights
+
+
 def matching_table(n: int) -> MatchingTable:
     """Build the reference matching for weight n as a ``MatchingTable``.
 
     Sources are keyed by (arm, left) and targets by (arm, leg); inside
     each key the k-th source, in enumeration order, is paired with the
-    k-th target in that order.  One pass over the cells fills the columns
-    and groups the targets by key, already sorted, so the pairing needs no
-    sort: O(cells) after enumeration.  Any order inside a group would be
-    valid; fixing this one makes runs diffable.
+    k-th target in that order.  One pass over ``partitions.runs_of``
+    fills the columns and groups the targets by key, already sorted, so
+    the pairing needs no sort: O(cells) after enumeration.  Any order
+    inside a group would be valid; fixing this one makes runs diffable.
+
+    A run of m rows of length L, from row ``top`` (0-based), is one block.
+    Cell (r, j) of it has arm L-1-j, left j and leg heights[j]-1-r, with
+    the partition's column heights from ``_column_heights``.  So its code
+    and source key depend only on (L, r, j), and its target key is an
+    (L, r, j) term plus its column's height.  Tables indexed by L, kept
+    to the n // L rows a row of length L can start at, hold those terms,
+    and each run takes its cells' codes and keys as one slice of each
+    table: no per-cell tuple or record is built, and the only per-cell
+    step is filing the cell's position under its target key.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     # arm, left and leg are all below n, so the key (a, b) is coded as the
     # int a * stride + b: ints sort like the tuples and cost no allocation
     stride = n + 1
+    codes, sources, arm_parts = [array("i")], [array("i")], [array("i")]
+    for length in range(1, n + 1):
+        rows, cols = range(n // length), range(length)
+        codes.append(array("i", [r * n + j for r in rows for j in cols]))
+        sources.append(array("i", [(length - 1 - j) * stride + j for j in cols]) * len(rows))
+        arm_parts.append(array("i", [(length - 1 - j) * stride - 1 - r for r in rows for j in cols]))
     cell, source_keys = array("i"), array("i")
     targets: defaultdict[int, array] = defaultdict(functools.partial(array, "i"))
-    for parts in partitions_of(n):
-        for (row, col), stats in cells(parts):
+    for vals, mults in runs_of(n):
+        heights = _column_heights(vals, mults)
+        top = 0
+        for length, mult in zip(vals, mults):
+            lo, hi = top * length, (top + mult) * length
             # the cell's position is the count of cells before it
-            targets[stats.arm * stride + stats.leg].append(len(source_keys))
-            cell.append((row - 1) * n + col - 1)
-            source_keys.append(stats.arm * stride + stats.left)
+            at = len(cell)
+            cell.extend(codes[length][lo:hi])
+            source_keys.extend(sources[length][lo:hi])
+            for key in map(add, arm_parts[length][lo:hi], heights[:length] * mult):
+                targets[key].append(at)
+                at += 1
+            top += mult
     target_counts = {key: len(group) for key, group in targets.items()}
     sizes = compare_counts(f"matching(n={n})", Counter(source_keys), target_counts)
     if not sizes.passed:
@@ -103,11 +140,12 @@ def canonical_matching(n: int) -> Matching:
     exit the collector is left as it was found, so a caller that had it
     off keeps it off.  The result holds about n * p(n) ``CellRef`` pairs;
     without the pause the collector would run over them 480 times while
-    they are built at n = 30 (CPython 3.11), in every generation, and
-    reclaim nothing.  The build allocates only ``CellRef``s, tuples,
-    lists, arrays and dicts of ints, and nothing refers back, so no cycle
-    can form and reference counting frees everything as before.  The
-    collector's next run, after the return, traverses the survivors once.
+    they are built at n = 30 (CPython 3.11; 438, 39 and 3 by generation,
+    all but one after the table is built), and reclaim nothing.  The
+    build allocates only ``CellRef``s, tuples, lists, arrays and dicts of
+    ints, and nothing refers back, so no cycle can form and reference
+    counting frees everything as before.  The collector's next run, after
+    the return, traverses the survivors once.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -3,11 +3,12 @@ import sys
 
 import pytest
 
-from hookpart import explorer
+from hookpart import explorer, partitions
 from hookpart.explorer import (
     CellRef,
     IdentityViolation,
     Matching,
+    _column_heights,
     canonical_matching,
     verify_matching,
 )
@@ -55,21 +56,22 @@ def grouped_sorted_matching(n):
     return Matching(n=n, pairs=tuple(pairs))
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(21))
 def test_matches_grouped_sorted_oracle(n):
     assert canonical_matching(n) == grouped_sorted_matching(n)
 
 
-def test_identity_violation_names_smallest_key(monkeypatch):
-    # lengthen the leg of cell (1, 1) of (3,), whose (arm, leg) key is
-    # (2, 0): that key loses an arm-leg cell and (2, 1) gains one
-    def shifted_cells(parts):
-        for cell, stats in cells(parts):
-            if parts == (3,) and cell == (1, 1):
-                stats = stats._replace(leg=stats.leg + 1, hook=stats.hook + 1)
-            yield cell, stats
+def _violating_heights(vals, mults):
+    # column 1 of (3,) reads one cell taller, so cell (1, 1) gains a leg:
+    # one arm-leg cell moves from key (2, 0) to (2, 1)
+    heights = _column_heights(vals, mults)
+    if (vals, mults) == ([3], [1]):
+        heights[0] += 1
+    return heights
 
-    monkeypatch.setattr(explorer, "cells", shifted_cells)
+
+def test_identity_violation_names_smallest_key(monkeypatch):
+    monkeypatch.setattr(explorer, "_column_heights", _violating_heights)
     with pytest.raises(IdentityViolation) as excinfo:
         canonical_matching(3)
     assert str(excinfo.value) == (
@@ -78,7 +80,7 @@ def test_identity_violation_names_smallest_key(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", range(21))
 def test_table_positions_round_trip(n):
     """Position k of the table is the k-th cell of the enumeration, the
     position arithmetic takes that cell back to k, and the targets are a
@@ -102,6 +104,40 @@ def test_table_positions_round_trip(n):
         outside += [(index, 0, 1), (index, len(parts) + 1, 1)]
         outside += [(index, row, col) for row, length in enumerate(parts, 1) for col in (0, length + 1)]
     assert [explorer._position(starts, ref) for ref in outside] == [-1] * len(outside)
+
+
+def per_cell_table(n):
+    """The table's two columns built cell by cell from ``partitions_of``
+    and ``cells``, kept as the reference for the run-block build: each
+    cell's code, and the k-th position filed under each target key paired
+    with the k-th source of that key."""
+    stride = n + 1
+    codes, source_keys, targets = [], [], {}
+    for parts in partitions_of(n):
+        for (row, col), stats in cells(parts):
+            targets.setdefault(stats.arm * stride + stats.leg, []).append(len(codes))
+            codes.append((row - 1) * n + col - 1)
+            source_keys.append(stats.arm * stride + stats.left)
+    iters = {key: iter(group) for key, group in targets.items()}
+    return codes, [next(iters[key]) for key in source_keys]
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_table_matches_per_cell_build(n):
+    table = explorer.matching_table(n)
+    assert table.n == n
+    assert (list(table.cell), list(table.target)) == per_cell_table(n)
+
+
+def test_table_reads_runs_only(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("matching_table took the tuple view")
+
+    for module in (explorer, partitions):
+        monkeypatch.setattr(module, "partitions_of", forbidden)
+        monkeypatch.setattr(module, "cells", forbidden)
+    table = explorer.matching_table(12)
+    assert len(table.cell) == len(table.target) == 12 * count_partitions(12)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -222,17 +258,9 @@ def test_gc_state_restored(gc_state):
     assert gc.isenabled() is gc_state
 
 
-def _violating_cells(parts):
-    # one arm-leg cell of (3,) moves from key (2, 0) to (2, 1)
-    for cell, stats in cells(parts):
-        if parts == (3,) and cell == (1, 1):
-            stats = stats._replace(leg=stats.leg + 1, hook=stats.hook + 1)
-        yield cell, stats
-
-
-@pytest.mark.parametrize("fault", [_violating_cells], ids=["canonical_matching"])
+@pytest.mark.parametrize("fault", [_violating_heights], ids=["canonical_matching"])
 def test_gc_state_restored_when_raising(gc_state, monkeypatch, fault):
-    monkeypatch.setattr(explorer, "cells", fault)
+    monkeypatch.setattr(explorer, "_column_heights", fault)
     with pytest.raises(IdentityViolation):
         canonical_matching(3)
     assert gc.isenabled() is gc_state
