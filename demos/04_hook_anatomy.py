@@ -42,10 +42,10 @@ stage 0: double sum over corners (i, j) of the seven-factor product
 stage 1: inner sum collapsed (the j-sum becomes one infinite product)
 stage 2: rearranged single sum with the partition enumerator pulled out
 stage 3: outer sum collapsed (the i-sum becomes one finite product)
-stage 4: telescoped closed form q^(c+d+1)/((1-q^(c+d+1))(q)_inf)
+stage 4: the telescoped closed form q^(c+d+1)/((1-q^(c+d+1))(q)_inf), lemma_rhs
 
 Each stage is evaluated by its own code path; the check below compares
-all five series coefficient-by-coefficient.
+each series with the next, coefficient by coefficient.
 """)
 for cc, dd in [(0, 0), (1, 1), (2, 0)]:
     report = proof_chain(cc, dd, 30)

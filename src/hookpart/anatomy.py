@@ -10,14 +10,14 @@ whose closed form is q^(c+d+1) / ((1 - q^(c+d+1)) (q)_inf).
 
 ``proof_chain`` re-derives that closed form numerically: the double sum
 over corners is collapsed step by step (inner sum first, then the outer
-one), each stage evaluated by its own code path, and all five stages are
-compared coefficient-wise.  Stages 0 and 1 each build their own row
-summands and evaluate the outer sum over the rows by ``qseries.euler_sum``,
-which stage 0 also uses for its inner sums; stage 2's sum over the rows is
-``qseries.gauss_sum``'s.  Stage 1's tails, stages 3 and 4 and
-``qseries.lemma_rhs`` call neither, so a fault in either kernel shows as a
-stage mismatch: stage1=stage2 sets ``euler_sum`` against ``gauss_sum``, and
-stage2=stage3 is fact 1 at (a, k) = (d, c+1).
+one), each stage evaluated by its own code path and compared with the
+next; the last, stage 4, is the closed form ``qseries.lemma_rhs`` itself.
+Stages 0 and 1 each build their own row summands and evaluate the outer
+sum over the rows by ``qseries.euler_sum``, which stage 0 also uses for
+its inner sums; stage 2's sum over the rows is ``qseries.gauss_sum``'s.
+Stage 1's tails, stage 3 and ``lemma_rhs`` call neither, so a fault in
+either kernel shows as a stage mismatch: stage1=stage2 sets ``euler_sum``
+against ``gauss_sum``, and stage2=stage3 is fact 1 at (a, k) = (d, c+1).
 """
 
 from __future__ import annotations
@@ -202,11 +202,6 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _euler_prefix(c: int, d: int, order: int) -> QSeries:
-    """q^(c+d+1) / (q)_inf, common head of the late chain stages."""
-    return make_monomial(c + d + 1, order) * euler_inv(order)
-
-
 def _box_prefactor(c: int, d: int, order: int) -> QSeries:
     """(q)_{c+d} / ((q)_c (q)_d) * q^(c+d+1), the head of stages 0 and 1,
     with the quotient evaluated literally (not via the box recurrence)."""
@@ -221,7 +216,8 @@ def _box_prefactor(c: int, d: int, order: int) -> QSeries:
 def _euler_box_head(c: int, d: int, order: int) -> QSeries:
     """q^(c+d+1)/(q)_inf * (q)_{c+d}/(q)_c, the head of stages 2 and 3."""
     return (
-        _euler_prefix(c, d, order)
+        make_monomial(c + d + 1, order)
+        * euler_inv(order)
         * q_pochhammer(1, c + d, order)
         * partial_euler_inv(c, order)
     )
@@ -290,21 +286,16 @@ def _chain_stage3(c: int, d: int, order: int) -> QSeries:
     return _euler_box_head(c, d, order) * q_pochhammer(c + 1, d + 1, order).invert()
 
 
-def _chain_stage4(c: int, d: int, order: int) -> QSeries:
-    """The closed form after telescoping: q^(c+d+1)/((1-q^(c+d+1)) (q)_inf)."""
-    repeat = (one(order) - make_monomial(c + d + 1, order)).invert()
-    return _euler_prefix(c, d, order) * repeat
-
-
-_CHAIN_STAGES = (_chain_stage0, _chain_stage1, _chain_stage2, _chain_stage3, _chain_stage4)
+_CHAIN_STAGES = (_chain_stage0, _chain_stage1, _chain_stage2, _chain_stage3, lemma_rhs)
 
 
 def proof_chain(c: int, d: int, order: int) -> VerifyReport:
     """Evaluate all five stages of the derivation independently and compare.
 
     Reports the first failing adjacent equality (stage k vs stage k+1) at
-    the smallest failing exponent, and finally checks that the last stage
-    matches ``qseries.lemma_rhs``.
+    the smallest failing exponent.  The last stage is the closed form
+    ``qseries.lemma_rhs``, so stage3=stage4 also catches a fault in the
+    closed form, or one shared by every derived stage.
     """
     _check_corner_args(c, d, 0, 0)
     context = f"proof_chain(c={c}, d={d}, order={order})"
@@ -313,5 +304,4 @@ def proof_chain(c: int, d: int, order: int) -> VerifyReport:
         report = compare_series(context, stages[k], stages[k + 1], f"stage{k}=stage{k + 1}")
         if not report.passed:
             return report
-    closed = lemma_rhs(c, d, order)
-    return compare_series(context, closed, stages[-1], "stage4=closed-form")
+    return VerifyReport.success(context)

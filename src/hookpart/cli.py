@@ -145,7 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_nonneg, required=True)
     p.add_argument("--d", type=_nonneg, required=True)
     p.add_argument("--n-max", type=_nonneg, required=True)
-    p.add_argument("--trunc", type=_nonneg, required=True)
+    p.add_argument(
+        "--trunc",
+        type=_nonneg,
+        required=True,
+        help="series order; must be at least --n-max (series are built to --n-max)",
+    )
 
     p = checks.add_parser("fact", parents=[common], help="one of the classical series facts")
     p.add_argument("--id", dest="fact_id", type=int, choices=(1, 2, 3, 4), required=True)
@@ -159,7 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_nonneg, required=True)
     p.add_argument("--d", type=_nonneg, required=True)
     p.add_argument("--n-max", type=_nonneg, required=True)
-    p.add_argument("--trunc", type=_nonneg, required=True)
+    p.add_argument(
+        "--trunc",
+        type=_nonneg,
+        required=True,
+        help="series order; must be at least --n-max (series are built to --n-max)",
+    )
 
     p = checks.add_parser("chain", parents=[common], help="five-stage derivation chain")
     p.add_argument("--c", type=_nonneg, required=True)
@@ -208,7 +218,7 @@ def _report_doc(report: VerifyReport) -> dict[str, Any]:
 
 
 def _render_reports(
-    reports: Sequence[VerifyReport], fmt: str, extras: Optional[dict[str, Any]] = None
+    reports: Sequence[VerifyReport], fmt: str, extras: Optional[dict[str, list[int]]] = None
 ) -> tuple[str, int]:
     failed = [r for r in reports if not r.passed]
     code = 1 if failed else 0
@@ -249,10 +259,7 @@ def _render_reports(
             )
     if extras:
         for key, value in extras.items():
-            if isinstance(value, list):
-                lines.append(f"{key}: " + " ".join(str(v) for v in value))
-            else:
-                lines.append(f"{key}: {value}")
+            lines.append(f"{key}: " + " ".join(str(v) for v in value))
     lines.append(
         f"ok ({len(reports)} checks)" if not failed else f"FAILED ({len(failed)} of {len(reports)} checks)"
     )
@@ -387,7 +394,7 @@ def _emit(pieces: Iterable[str], out_path: Optional[str]) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    extras: Optional[dict[str, Any]] = None
+    extras: Optional[dict[str, list[int]]] = None
     if args.check == "theorem1":
         reports = _map_ordered(statistics.verify_theorem1, range(args.n_max + 1), args.jobs)
     elif args.check == "identity1":

@@ -195,10 +195,11 @@ def verify_matching(matching: Matching) -> VerifyReport:
     """Check both matching invariants.
 
     Bijectivity: the sources enumerate every cell of every partition of n
-    exactly once, and so do the targets.  A failure names the smallest
-    cell, as ``(side, ref)``, that is no cell of n, is used more than once
-    or is never used, with its expected and actual use counts.  Transport:
-    for every pair, the source's (arm, left) equals the target's (arm, leg).
+    exactly once, and so do the targets.  A failure names, as ``(side, ref)``
+    with its expected and actual use counts, the smallest used ref that is
+    no cell of n or is used more than once; only if there is none, the
+    smallest unused cell.  Transport: for every pair, the source's
+    (arm, left) equals the target's (arm, leg).
     Both checks run on cell positions in enumeration order: each ref is
     placed by arithmetic (``_position``), and the statistics are columns.
     """

@@ -3,6 +3,7 @@ from functools import lru_cache
 
 import pytest
 
+from hookpart import anatomy, qseries
 from hookpart.anatomy import (
     _chain_stage0,
     _chain_stage1,
@@ -136,6 +137,11 @@ def test_proof_chain_zero_order():
     # every stage truncates to the zero series when c+d+1 > order
     assert proof_chain(0, 0, 0).passed
     assert lemma_rhs(0, 0, 0).is_zero()
+
+
+def test_chain_ends_at_lemma_rhs():
+    # the closed form is the chain's last stage, not a copy of it
+    assert anatomy._CHAIN_STAGES[-1] is qseries.lemma_rhs
 
 
 def test_proof_chain_order_100():

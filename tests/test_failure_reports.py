@@ -155,10 +155,12 @@ def test_chain_stage_pair_report(monkeypatch):
 
 
 def test_chain_closed_form_report(monkeypatch):
-    # every stage shifted alike: the adjacent checks pass, the last one fails
-    monkeypatch.setattr(anatomy, "_CHAIN_STAGES", tuple(map(_shifted, anatomy._CHAIN_STAGES)))
+    # every derived stage shifted alike: their checks pass, the one against
+    # the closed form fails, with the shifted stage 3 as the expected side
+    derived, closed = anatomy._CHAIN_STAGES[:-1], anatomy._CHAIN_STAGES[-1]
+    monkeypatch.setattr(anatomy, "_CHAIN_STAGES", (*map(_shifted, derived), closed))
     report = anatomy.proof_chain(2, 1, 20)
-    assert_failure(report, "proof_chain(c=2, d=1, order=20)", ("stage4=closed-form", 7), 3, 4)
+    assert_failure(report, "proof_chain(c=2, d=1, order=20)", ("stage3=stage4", 7), 4, 3)
 
 
 @pytest.mark.parametrize(
