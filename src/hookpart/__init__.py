@@ -1,4 +1,4 @@
-"""hookpart: cell statistics on integer partitions, verified two ways.
+"""hookpart: cell statistics on integer partitions, verified three ways.
 
 Each cell of a partition's Ferrers diagram carries an arm (cells to its
 right), a leg (below), and a left length (to its left).  Over all cells

@@ -14,7 +14,8 @@ one), each stage evaluated by its own code path and compared with the
 next; the last, stage 4, is the closed form ``qseries.lemma_rhs`` itself.
 Stages 0 and 1 each build their own row summands and evaluate the outer
 sum over the rows by ``qseries.euler_sum``, which stage 0 also uses for
-its inner sums; stage 2's sum over the rows is ``qseries.gauss_sum``'s.
+its inner sums, times the head q^(c+d+1) ``qseries.box_quotient(c, d)``,
+which fact 3 checks; stage 2's sum over the rows is ``qseries.gauss_sum``'s.
 Stage 1's tails, stage 3 and ``lemma_rhs`` call neither, so a fault in
 either kernel shows as a stage mismatch: stage1=stage2 sets ``euler_sum``
 against ``gauss_sum``, and stage2=stage3 is fact 1 at (a, k) = (d, c+1).
@@ -30,6 +31,7 @@ from hookpart.partitions import runs_of
 from hookpart.qseries import (
     QSeries,
     VerifyReport,
+    box_quotient,
     compare_counts,
     compare_series,
     euler_inv,
@@ -202,17 +204,6 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 
-def _box_prefactor(c: int, d: int, order: int) -> QSeries:
-    """(q)_{c+d} / ((q)_c (q)_d) * q^(c+d+1), the head of stages 0 and 1,
-    with the quotient evaluated literally (not via the box recurrence)."""
-    return (
-        q_pochhammer(1, c + d, order)
-        * partial_euler_inv(c, order)
-        * partial_euler_inv(d, order)
-        * make_monomial(c + d + 1, order)
-    )
-
-
 def _euler_box_head(c: int, d: int, order: int) -> QSeries:
     """q^(c+d+1)/(q)_inf * (q)_{c+d}/(q)_c, the head of stages 2 and 3."""
     return (
@@ -242,7 +233,7 @@ def _chain_stage0(c: int, d: int, order: int) -> QSeries:
         euler_sum(i + d + 1, [unit] * width, order)
         for i, width in enumerate(_corner_rows(c, d, order))
     ]
-    return _box_prefactor(c, d, order) * euler_sum(c + 1, rows, order)
+    return make_monomial(c + d + 1, order) * box_quotient(c, d, order) * euler_sum(c + 1, rows, order)
 
 
 def _chain_stage1(c: int, d: int, order: int) -> QSeries:
@@ -262,7 +253,7 @@ def _chain_stage1(c: int, d: int, order: int) -> QSeries:
         if i:
             tail = (one(order) - make_monomial(d + i, order)) * tail
         tails.append(tail)
-    return _box_prefactor(c, d, order) * euler_sum(c + 1, tails, order)
+    return make_monomial(c + d + 1, order) * box_quotient(c, d, order) * euler_sum(c + 1, tails, order)
 
 
 def _chain_stage2(c: int, d: int, order: int) -> QSeries:

@@ -266,37 +266,16 @@ def _render_reports(
     return "\n".join(lines), code
 
 
-def _render_series(label: str, series: qseries.QSeries, fmt: str) -> str:
+def _render_table(header: str, rows: Iterable[Sequence[int]], doc: dict[str, Any], fmt: str) -> str:
+    """An integer table: csv rows under the header, text rows joined by a
+    space, or json ``doc`` alone, which holds the rows itself."""
     if fmt == "json":
         import json
 
-        return json.dumps(
-            {"kind": label, "order": series.order, "coefficients": list(series.coeffs)},
-            sort_keys=True,
-        )
-    lines = ["exponent,coefficient"] if fmt == "csv" else []
+        return json.dumps(doc, sort_keys=True)
     sep = "," if fmt == "csv" else " "
-    lines.extend(f"{e}{sep}{c}" for e, c in enumerate(series.coeffs))
-    return "\n".join(lines)
-
-
-def _render_multiset(n: int, stat: str, pm: statistics.PairMultiset, fmt: str) -> str:
-    rows = sorted(pm.counts.items())
-    if fmt == "json":
-        import json
-
-        return json.dumps(
-            {
-                "n": n,
-                "stat": stat,
-                "total": pm.total,
-                "pairs": [[c, d, count] for (c, d), count in rows],
-            },
-            sort_keys=True,
-        )
-    lines = ["c,d,count"] if fmt == "csv" else []
-    sep = "," if fmt == "csv" else " "
-    lines.extend(f"{c}{sep}{d}{sep}{count}" for (c, d), count in rows)
+    lines = [header] if fmt == "csv" else []
+    lines.extend(sep.join(map(str, row)) for row in rows)
     return "\n".join(lines)
 
 
@@ -439,13 +418,17 @@ def _cmd_series(args: argparse.Namespace) -> int:
     else:
         series = qseries.lemma_rhs(args.c, args.d, args.trunc)
         label = f"lemma-rhs(c={args.c}, d={args.d})"
-    _emit((_render_series(label, series, args.format),), args.out)
+    doc = {"kind": label, "order": series.order, "coefficients": list(series.coeffs)}
+    table = _render_table("exponent,coefficient", enumerate(series.coeffs), doc, args.format)
+    _emit((table,), args.out)
     return 0
 
 
 def _cmd_multiset(args: argparse.Namespace) -> int:
     pm = statistics.build_pair_multiset(args.n, args.stat)
-    _emit((_render_multiset(args.n, args.stat, pm, args.format),), args.out)
+    rows = [(c, d, count) for (c, d), count in sorted(pm.counts.items())]
+    doc = {"n": args.n, "stat": args.stat, "total": pm.total, "pairs": rows}
+    _emit((_render_table("c,d,count", rows, doc, args.format),), args.out)
     return 0
 
 
@@ -467,28 +450,22 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
             parser.error(f"--out: directory {directory!r} is not writable")
     # the command as its messages name it: the series kind, the check, "fact <id>"
     label = getattr(args, "kind", None) or getattr(args, "check", None) or args.command
-    if label == "gauss" and max(args.m, args.n, args.m * args.n) > GAUSS_MAX_AREA:
-        parser.error(
-            f"gauss: --m ({args.m}), --n ({args.n}) and their product "
-            f"must not exceed {GAUSS_MAX_AREA}"
-        )
     if label == "fact":
         label = f"fact {args.fact_id}"
         missing = [name for name in FACT_ARGS[args.fact_id] if getattr(args, name) is None]
         if missing:
             flags = ", ".join("--" + name for name in missing)
             parser.error(f"{label} requires {flags}")
-    if label == "fact 3":
-        if max(args.m, args.n, args.m * args.n) > FACT3_MAX_AREA:
-            parser.error(
-                f"fact 3: --m ({args.m}), --n ({args.n}) and their product "
-                f"must not exceed {FACT3_MAX_AREA}"
-            )
-        if math.comb(args.m + args.n, args.m) > FACT3_MAX_BOX_PARTITIONS:
-            parser.error(
-                f"fact 3: the {args.m}x{args.n} box holds C({args.m + args.n}, {args.m}) "
-                f"partitions, more than {FACT3_MAX_BOX_PARTITIONS}"
-            )
+    area_cap = {"gauss": GAUSS_MAX_AREA, "fact 3": FACT3_MAX_AREA}.get(label)
+    if area_cap is not None and max(args.m, args.n, args.m * args.n) > area_cap:
+        parser.error(
+            f"{label}: --m ({args.m}), --n ({args.n}) and their product must not exceed {area_cap}"
+        )
+    if label == "fact 3" and math.comb(args.m + args.n, args.m) > FACT3_MAX_BOX_PARTITIONS:
+        parser.error(
+            f"fact 3: the {args.m}x{args.n} box holds C({args.m + args.n}, {args.m}) "
+            f"partitions, more than {FACT3_MAX_BOX_PARTITIONS}"
+        )
     if label in ("lemma", "anatomy") and args.n_max > args.trunc:
         parser.error(f"n_max ({args.n_max}) must not exceed the series order ({args.trunc})")
     for (command, flag), cap in _BOUNDS.items():

@@ -199,11 +199,17 @@ def _check_orders(a: QSeries, b: QSeries) -> None:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise ValueError(f"series order must be nonnegative, got {order}")
+
+
 def zero(order: int) -> QSeries:
     return QSeries([0] * (order + 1))
 
 
 def one(order: int) -> QSeries:
+    _check_order(order)
     return QSeries([1] + [0] * order)
 
 
@@ -234,6 +240,7 @@ def q_pochhammer(k: int, count: Optional[int], order: int) -> QSeries:
         raise ValueError("q_pochhammer requires k >= 1")
     if count is not None and count < 0:
         raise ValueError(f"factor count must be nonnegative, got {count}")
+    _check_order(order)
     if count is None:
         exponents = range(k, order + 1)
     else:
@@ -265,6 +272,7 @@ def partial_euler_inv(m: int, order: int) -> QSeries:
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
+    _check_order(order)
     coeffs = [1] + [0] * order
     for k in range(1, min(m, order) + 1):
         for e in range(k, order + 1):
@@ -337,6 +345,7 @@ def gauss_binomial(m: int, n: int, order: int) -> QSeries:
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
+    _check_order(order)
     if n > m:
         m, n = n, m
     row = [[1] for _ in range(n + 1)]
@@ -349,6 +358,23 @@ def gauss_binomial(m: int, n: int, order: int) -> QSeries:
             row[b] = box
     coeffs = row[n]
     return QSeries(coeffs + [0] * (order + 1 - len(coeffs)))
+
+
+def box_quotient(m: int, n: int, order: int) -> QSeries:
+    """(q)_{m+n} / ((q)_m (q)_n), truncated: the m-by-n box's enumerator,
+    built literally from ``q_pochhammer`` and ``partial_euler_inv``.
+
+    Chain stages 0 and 1 multiply by it for the c-by-d box inside the
+    marked hook; fact 3, against ``gauss_binomial``, is its check.
+    Dividing (q)_{m+n} by the longer side's (q)_k first leaves a short
+    polynomial, so neither product multiplies two dense series.
+    """
+    short, long = sorted((m, n))
+    return (
+        q_pochhammer(1, m + n, order)
+        * partial_euler_inv(long, order)
+        * partial_euler_inv(short, order)
+    )
 
 
 def lemma_rhs(c: int, d: int, order: int) -> QSeries:

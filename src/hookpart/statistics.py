@@ -32,6 +32,7 @@ from typing import Iterator, Mapping, NamedTuple
 from hookpart.partitions import box_gf_brute, runs_of
 from hookpart.qseries import (
     VerifyReport,
+    box_quotient,
     compare_counts,
     compare_series,
     gauss_binomial,
@@ -39,7 +40,6 @@ from hookpart.qseries import (
     make_monomial,
     one,
     partial_euler_inv,
-    q_pochhammer,
 )
 
 PAIR_STATS = ("arm-leg", "arm-left")
@@ -314,8 +314,8 @@ def verify_fact3(m: int, n: int) -> VerifyReport:
     Brute enumeration of box-bounded partitions must match the Gaussian
     binomial; so must, coefficient-wise at order m*n, the corner recurrence
     F(m,n) = q^n F(m-1,n) + F(m,n-1)  (F with a zero side is 1)
-    and the literal quotient (q)_{m+n} / ((q)_m (q)_n), built from
-    ``q_pochhammer`` and ``partial_euler_inv`` without ``gauss_binomial``.
+    and the literal quotient (q)_{m+n} / ((q)_m (q)_n) by ``box_quotient``.
+    This fact is the check of ``box_quotient``, the head of chain stages 0-1.
     """
     context = f"fact3(m={m}, n={n})"
     order = m * n
@@ -332,15 +332,7 @@ def verify_fact3(m: int, n: int) -> VerifyReport:
     report = compare_series(context + " [recurrence]", recurrence, closed)
     if not report.passed:
         return report
-    # dividing (q)_{m+n} by the longer side's (q)_k first leaves a short
-    # polynomial, so neither product multiplies two dense series
-    short, long = sorted((m, n))
-    quotient = (
-        q_pochhammer(1, m + n, order)
-        * partial_euler_inv(long, order)
-        * partial_euler_inv(short, order)
-    )
-    report = compare_series(context + " [quotient]", quotient, closed)
+    report = compare_series(context + " [quotient]", box_quotient(m, n, order), closed)
     if not report.passed:
         return report
     return VerifyReport.success(context)

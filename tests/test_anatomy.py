@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import pytest
 
-from hookpart import anatomy, qseries
+from hookpart import anatomy, qseries, statistics
 from hookpart.anatomy import (
     _chain_stage0,
     _chain_stage1,
@@ -142,6 +142,26 @@ def test_proof_chain_zero_order():
 def test_chain_ends_at_lemma_rhs():
     # the closed form is the chain's last stage, not a copy of it
     assert anatomy._CHAIN_STAGES[-1] is qseries.lemma_rhs
+
+
+@pytest.mark.parametrize("c,d", [(0, 0), (1, 2), (3, 1)])
+def test_faulty_box_quotient_fails_chain_and_fact3(monkeypatch, c, d):
+    """Stages 0 and 1 share their head ``box_quotient`` with fact 3: a
+    fault in it passes stage0=stage1, fails the chain at stage1=stage2,
+    and fails fact 3 at its quotient check."""
+    real = qseries.box_quotient
+
+    def shifted(m, n, order):
+        return make_monomial(1, order) * real(m, n, order)
+
+    monkeypatch.setattr(anatomy, "box_quotient", shifted)
+    report = proof_chain(c, d, 30)
+    assert not report.passed
+    assert report.first_discrepancy.where[0] == "stage1=stage2"
+    monkeypatch.setattr(statistics, "box_quotient", shifted)
+    report = statistics.verify_fact3(c + 1, d + 1)
+    assert not report.passed
+    assert report.context == f"fact3(m={c + 1}, n={d + 1}) [quotient]"
 
 
 def test_proof_chain_order_100():

@@ -120,7 +120,11 @@ def test_fact1_a_is_unbounded(capsys):
 def test_fact3_area_above_cap_is_usage_error(capsys, m, n):
     code, out, err = invoke(capsys, "verify", "fact", "--id", "3", "--m", str(m), "--n", str(n))
     assert code == 2 and out == ""
-    assert f"must not exceed {cli.FACT3_MAX_AREA}" in err
+    assert err == (
+        "usage: hookpart [-h] {verify,series,multiset,match} ...\n"
+        f"hookpart: error: fact 3: --m ({m}), --n ({n}) and their product "
+        f"must not exceed {cli.FACT3_MAX_AREA}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -134,7 +138,11 @@ def test_fact3_area_above_cap_is_usage_error(capsys, m, n):
 def test_gauss_area_above_cap_is_usage_error(capsys, m, n):
     code, out, err = invoke(capsys, "series", "gauss", "--m", str(m), "--n", str(n), "--trunc", "0")
     assert code == 2 and out == ""
-    assert f"must not exceed {cli.GAUSS_MAX_AREA}" in err
+    assert err == (
+        "usage: hookpart [-h] {verify,series,multiset,match} ...\n"
+        f"hookpart: error: gauss: --m ({m}), --n ({n}) and their product "
+        f"must not exceed {cli.GAUSS_MAX_AREA}\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -323,6 +331,53 @@ def test_multiset_csv_roundtrip(capsys):
     rows = list(csv.DictReader(io.StringIO(out)))
     rebuilt = {(int(r["c"]), int(r["d"])): int(r["count"]) for r in rows}
     assert rebuilt == dict(build_pair_multiset(6, "arm-left").counts)
+
+
+# exact stdout of `series` and `multiset`, so that a change of renderer cannot
+# move a byte: the text separator, the csv header, JSON spacing and key order
+TABLE_DOCUMENTS = {
+    ("series euler-inv --trunc 5", "text"): "0 1\n1 1\n2 2\n3 3\n4 5\n5 7\n",
+    ("series euler-inv --trunc 5", "csv"): "exponent,coefficient\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n",
+    ("series euler-inv --trunc 5", "json"): (
+        '{"coefficients": [1, 1, 2, 3, 5, 7], "kind": "euler-inv", "order": 5}\n'
+    ),
+    ("series gauss --m 2 --n 3", "text"): "0 1\n1 1\n2 2\n3 2\n4 2\n5 1\n6 1\n",
+    ("series gauss --m 2 --n 3", "csv"): (
+        "exponent,coefficient\n0,1\n1,1\n2,2\n3,2\n4,2\n5,1\n6,1\n"
+    ),
+    ("series gauss --m 2 --n 3", "json"): (
+        '{"coefficients": [1, 1, 2, 2, 2, 1, 1], "kind": "gauss(m=2, n=3)", "order": 6}\n'
+    ),
+    ("series lemma-rhs --c 1 --d 0 --trunc 6", "text"): "0 0\n1 0\n2 1\n3 1\n4 3\n5 4\n6 8\n",
+    ("series lemma-rhs --c 1 --d 0 --trunc 6", "csv"): (
+        "exponent,coefficient\n0,0\n1,0\n2,1\n3,1\n4,3\n5,4\n6,8\n"
+    ),
+    ("series lemma-rhs --c 1 --d 0 --trunc 6", "json"): (
+        '{"coefficients": [0, 0, 1, 1, 3, 4, 8], "kind": "lemma-rhs(c=1, d=0)", "order": 6}\n'
+    ),
+    **{
+        (f"multiset --n 4 --stat {stat}", fmt): text
+        for stat in ("arm-leg", "arm-left")
+        for fmt, text in {
+            "text": "0 0 7\n0 1 3\n0 2 1\n0 3 1\n1 0 3\n1 1 1\n1 2 1\n2 0 1\n2 1 1\n3 0 1\n",
+            "csv": "c,d,count\n0,0,7\n0,1,3\n0,2,1\n0,3,1\n1,0,3\n1,1,1\n1,2,1\n2,0,1\n2,1,1\n3,0,1\n",
+            "json": '{"n": 4, "pairs": [[0, 0, 7], [0, 1, 3], [0, 2, 1], [0, 3, 1], [1, 0, 3], '
+            '[1, 1, 1], [1, 2, 1], [2, 0, 1], [2, 1, 1], [3, 0, 1]], '
+            f'"stat": "{stat}", "total": 20}}\n',
+        }.items()
+    },
+    ("multiset --n 0 --stat arm-leg", "text"): "\n",
+    ("multiset --n 0 --stat arm-leg", "csv"): "c,d,count\n",
+    ("multiset --n 0 --stat arm-leg", "json"): (
+        '{"n": 0, "pairs": [], "stat": "arm-leg", "total": 0}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, fmt", sorted(TABLE_DOCUMENTS))
+def test_table_documents_byte_for_byte(capsys, argv, fmt):
+    expected = TABLE_DOCUMENTS[argv, fmt]
+    assert invoke(capsys, *argv.split(), "--format", fmt) == (0, expected, "")
 
 
 def test_match_csv_matches_api(capsys):

@@ -9,6 +9,7 @@ from hookpart import partitions, qseries
 from hookpart.qseries import (
     QSeries,
     VerifyReport,
+    box_quotient,
     compare_counts,
     compare_series,
     euler_inv,
@@ -291,6 +292,23 @@ def test_partial_euler_inv_rejects_negative_m():
         partial_euler_inv(-1, 5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        one,
+        lambda order: q_pochhammer(1, None, order),
+        lambda order: partial_euler_inv(2, order),
+        lambda order: gauss_binomial(2, 2, order),
+        euler_inv,
+        lambda order: box_quotient(2, 3, order),
+    ],
+    ids=["one", "q_pochhammer", "partial_euler_inv", "gauss_binomial", "euler_inv", "box_quotient"],
+)
+def test_negative_order_is_rejected(build):
+    with pytest.raises(ValueError, match="series order must be nonnegative, got -3"):
+        build(-3)
+
+
 @pytest.mark.parametrize("shift", [1, 2, 3, 4, 41])  # 41: above every order
 @pytest.mark.parametrize("order", [0, 1, 7, 40])
 def test_euler_sum_matches_literal_sum(order, shift):
@@ -337,6 +355,12 @@ def test_gauss_binomial_matches_recursive_oracle(m, n):
     for order in (0, 1, 5, m * n, m * n + 3):
         expected = (exact + [0] * (order + 1))[: order + 1]
         assert gauss_binomial(m, n, order).coeffs == tuple(expected), order
+
+
+@pytest.mark.parametrize("m,n", [(0, 0), (0, 4), (1, 5), (3, 2), (4, 4), (2, 7)])
+def test_box_quotient_is_the_gaussian_binomial(m, n):
+    for order in (0, 3, m * n, m * n + 5):
+        assert box_quotient(m, n, order) == gauss_binomial(m, n, order), order
 
 
 def test_gauss_binomial_small():

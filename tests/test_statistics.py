@@ -305,19 +305,24 @@ def test_fact3_passes(m, n):
     assert report.passed, report
 
 
+# bound before any test patches them, so that a fault can call the real kernel
+_Q_POCHHAMMER, _PARTIAL_EULER_INV = qseries.q_pochhammer, qseries.partial_euler_inv
+
+
 @pytest.mark.parametrize(
     "kernel,faulty",
     [
-        ("q_pochhammer", lambda k, count, order: qseries.q_pochhammer(k, count - 1, order)),
-        ("partial_euler_inv", lambda m, order: qseries.partial_euler_inv(m + 1, order)),
+        ("q_pochhammer", lambda k, count, order: _Q_POCHHAMMER(k, count - 1, order)),
+        ("partial_euler_inv", lambda m, order: _PARTIAL_EULER_INV(m + 1, order)),
     ],
 )
 @pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (3, 3)])
 def test_fact3_quotient_catches_a_faulty_kernel(monkeypatch, kernel, faulty, m, n):
     """The quotient half is checked against gauss_binomial on its own: a
-    fault in a kernel it is built from fails fact 3 there, after the brute
-    and recurrence halves, which do not read that kernel, have passed."""
-    monkeypatch.setattr(statistics, kernel, faulty)
+    fault in a kernel ``box_quotient`` is built from fails fact 3 there,
+    after the brute and recurrence halves, which do not read that kernel,
+    have passed."""
+    monkeypatch.setattr(qseries, kernel, faulty)
     report = verify_fact3(m, n)
     assert not report.passed
     assert report.context == f"fact3(m={m}, n={n}) [quotient]"
