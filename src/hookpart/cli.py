@@ -4,7 +4,7 @@ Exit codes: 0 all checks passed (or output produced), 1 a verification
 failed (the discrepancy is printed), 2 usage error (every argument is
 checked before any work starts, including that --out names a file in an
 existing, writable directory), 3 internal error (an exception inside a
-verifier or a broken worker pool; one line on stderr, no traceback).
+verifier; one line on stderr, no traceback).
 Results go to stdout (or --out PATH); diagnostics go to stderr.
 """
 
@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from itertools import repeat
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from hookpart import anatomy, explorer, qseries, statistics
 from hookpart.qseries import VerifyReport
@@ -66,10 +66,11 @@ CHAIN_MAX_ORDER = 2200
 SERIES_MAX_ORDER = 6000
 
 # theorem1, identity1, lemma and anatomy enumerate every partition of every
-# n <= --n-max, and multiset every partition of --n, about 6x the cost per
-# +10: at the limit, on one 2-core host, the slowest, `verify anatomy --c 0
-# --d 0`, takes 3.4-5.4 s, median 4.1 s over fourteen runs, and theorem1
-# 2.0-2.9 s at --jobs 1 and 1.0-1.3 s at --jobs 2
+# n <= --n-max, and multiset every partition of --n (arm-leg: of every
+# n <= --n), about 6x the cost per +10: at the limit, on one 2-core host,
+# four runs each, the slowest, `verify anatomy --c 0 --d 0`, takes 2.1-2.2 s,
+# theorem1 and identity1 0.8-1.2 s, `lemma` 0.5-0.9 s and `multiset`
+# 0.1-0.8 s
 ENUM_MAX_N = 45
 
 # `match` holds two ints for each of the n * p(n) cells of --n and writes
@@ -120,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--jobs",
         type=_positive,
-        default=os.cpu_count() or 1,
-        help="worker count for range verifications (default: available cores)",
+        default=1,
+        help="no longer changes anything: every command runs in one process (must be >= 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -318,46 +319,6 @@ def _render_matching(table: explorer.MatchingTable, fmt: str) -> Iterator[str]:
         yield "]}"
 
 
-# ---------------------------------------------------------------------------
-# Range verification with optional worker pool
-# ---------------------------------------------------------------------------
-
-
-def _pool_size(jobs: int, n_items: int, cpus: Optional[int]) -> int:
-    """Worker count for a range: never more than the items or the cores."""
-    return max(1, min(jobs, n_items, cpus or 1))
-
-
-def _map_ordered(fn: Callable[[int], VerifyReport], items: Sequence[int], jobs: int) -> list[VerifyReport]:
-    """Apply fn over items, possibly in parallel; results keep input order,
-    so the final output is identical for every jobs setting.
-
-    The pool gets one n per task, largest first: the cost of n grows like
-    n * p(n), so the top few n hold most of the work, and starting them
-    first lets the small ones fill in behind them.
-
-    Only a pool that cannot be created or started falls back to a serial
-    run; an exception raised by fn itself propagates as it is.  The pool
-    module is imported here, outside the fallback, so that other commands
-    do not pay for loading it and a broken import is an internal error.
-    """
-    workers = _pool_size(jobs, len(items), os.cpu_count())
-    if workers > 1 and len(items) > 3:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with contextlib.ExitStack() as stack:
-            try:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                stack.callback(pool.shutdown, cancel_futures=True)  # drop queued tasks if fn raises
-                # submitting starts the workers
-                futures = {n: pool.submit(fn, n) for n in sorted(items, reverse=True)}
-            except (OSError, NotImplementedError) as exc:
-                print(f"note: worker pool unavailable ({exc}); running serially", file=sys.stderr)
-            else:
-                return [futures[n].result() for n in items]
-    return [fn(n) for n in items]
-
-
 def _emit(pieces: Iterable[str], out_path: Optional[str]) -> None:
     """Write the pieces, then a newline, to out_path or to stdout, one
     piece at a time."""
@@ -375,9 +336,9 @@ def _emit(pieces: Iterable[str], out_path: Optional[str]) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     extras: Optional[dict[str, list[int]]] = None
     if args.check == "theorem1":
-        reports = _map_ordered(statistics.verify_theorem1, range(args.n_max + 1), args.jobs)
+        reports = [statistics.verify_theorem1(n) for n in range(args.n_max + 1)]
     elif args.check == "identity1":
-        reports = _map_ordered(statistics.verify_identity1, range(args.n_max + 1), args.jobs)
+        reports = [statistics.verify_identity1(n) for n in range(args.n_max + 1)]
     elif args.check == "lemma":
         reports = [statistics.verify_lemma(args.c, args.d, args.stat, args.n_max, args.trunc)]
         extras = {
@@ -493,7 +454,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except explorer.IdentityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # arguments are valid by now, so this is a bug or a broken pool
+    except Exception as exc:  # arguments are valid by now, so this is a bug
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

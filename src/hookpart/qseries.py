@@ -205,6 +205,7 @@ def _check_order(order: int) -> None:
 
 
 def zero(order: int) -> QSeries:
+    _check_order(order)
     return QSeries([0] * (order + 1))
 
 
@@ -217,6 +218,7 @@ def make_monomial(e: int, order: int) -> QSeries:
     """q^e at the given order; exponents beyond the order truncate to 0."""
     if e < 0:
         raise ValueError(f"exponent must be nonnegative, got {e}")
+    _check_order(order)
     coeffs = [0] * (order + 1)
     if e <= order:
         coeffs[e] = 1
@@ -289,6 +291,7 @@ def euler_sum(shift: int, summands: Sequence[QSeries], order: int) -> QSeries:
     per term one in-place division by a two-term factor (e ascending, so
     acc[e - k] already holds the quotient) and one shift, O(order).
     """
+    _check_order(order)
     acc = [0] * (order + 1)
     for j in range(len(summands) - 1, -1, -1):
         k = j + 1
@@ -313,6 +316,7 @@ def gauss_sum(shift: int, a: int, terms: int, order: int) -> QSeries:
     by (1 - q^(d+i)); this loop stays apart from theirs, so that a fault in
     either shows as a stage mismatch.
     """
+    _check_order(order)
     acc = [0] * (order + 1)
     row = [1] + [0] * order
     for j in range(terms):
@@ -387,6 +391,7 @@ def lemma_rhs(c: int, d: int, order: int) -> QSeries:
     """
     if c < 0 or d < 0:
         raise ValueError("pair entries must be nonnegative")
+    _check_order(order)
     step = c + d + 1
     marked_row = make_monomial(step, order)
     repeat = (one(order) - make_monomial(step, order)).invert()

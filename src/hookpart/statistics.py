@@ -7,27 +7,26 @@ checks, refines, and realizes by explicit matchings.  Collapsing the
 pairs through c+d+1 recovers the coarser statement that hook lengths and
 part lengths are equidistributed over the cells.
 
-Both multisets and the hook and part polynomials of n come from one
-cached sweep over the partitions of n, walked as runs of equal parts by
-``partitions.runs_of``; no partition tuple and no conjugate is built.
-Arm-left and part are expanded from row-length multiplicities, read from
-every run of every partition; the same row tally, run alone with no
-per-cell work, gives the arm-left multiset to ``build_pair_multiset`` and
-the lemma check.  Arm-leg and hook are tallied for one partition of each
-conjugate pair whose first part differs from its length, and for every
-partition whose first part equals it: transposing a diagram swaps every
-cell's arm and leg and keeps its hook, so a skipped partition's tally is
-the transpose of its conjugate's.  Pair multisets are sparse count maps,
-never flattened lists.
+Both multisets and the hook and part polynomials of every n come from
+one pass carried from n - 1 to n: the partitions of n are those of n - 1
+with a bottom row of length 1 added, which moves only the first column's
+legs and hooks, plus the cores of n, the partitions with no part 1.  Only
+the cores are walked cell by cell, as runs of equal parts by
+``partitions.runs_of``, so the cells of every n <= N cost one walk over
+p(N) partitions; no partition tuple and no conjugate is built.  Arm-left
+and part are expanded from row-length counts.  A second row tally, run
+alone over every partition of n with no per-cell work, gives the
+arm-left multiset to ``build_pair_multiset`` and the lemma check.  Pair
+multisets are sparse count maps, never flattened lists.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import lru_cache
 from itertools import accumulate
+from operator import add
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 from hookpart.partitions import box_gf_brute, runs_of
 from hookpart.qseries import (
@@ -65,21 +64,6 @@ def _check_pair_stat(stat: str) -> None:
         raise ValueError(f"stat must be one of {PAIR_STATS}, got {stat!r}")
 
 
-def _rows_tallied(n: int, rows: list[int]) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield every partition of n as runs, after adding its rows to ``rows``.
-
-    The only row-length loop: ``_sweep`` iterates it and ``_row_sweep``
-    drains it, so arm-left and part are enumerated in one place.  Each
-    step is ``partitions.runs_of``'s ``(vals, mults)`` pair, read-only and
-    valid until the next step; a run of m rows of length v adds m to
-    ``rows[v]`` at once.
-    """
-    for step in runs_of(n):
-        for length, mult in zip(*step):
-            rows[length] += mult
-        yield step
-
-
 def _expand_rows(rows: list[int]) -> tuple[PairMultiset, Mapping[int, int]]:
     """Arm-left multiset and part polynomial from row-length counts.
 
@@ -97,123 +81,159 @@ def _expand_rows(rows: list[int]) -> tuple[PairMultiset, Mapping[int, int]]:
 def _row_sweep(n: int) -> PairMultiset:
     """The arm-left multiset of n from row lengths alone.
 
-    Drains ``_rows_tallied``: a row tally per run, no partition tuple
-    built and no cell visited.
-    Read-only and shared, like ``_sweep``'s results.
+    A row tally over every partition of n, a run of m rows of length v
+    adding m to ``rows[v]`` at once: no partition tuple built, no cell
+    visited, and nothing shared with ``_carry``'s row counts, so the two
+    tallies check each other.  Read-only and shared, like ``_sweep``'s
+    results.
     """
     rows = [0] * (n + 1)
-    deque(_rows_tallied(n, rows), maxlen=0)
+    for vals, mults in runs_of(n):
+        for length, mult in zip(vals, mults):
+            rows[length] += mult
     return _expand_rows(rows)[0]
 
 
 def _add_runs(counts: list[int], runs: list[int]) -> None:
     """Add the running sums of a difference array to cell counts, in place.
 
-    In place, so the sweep's peak holds no third table per statistic.
+    In place, so a step's peak holds no third table per statistic.
     """
     for idx, run in zip(range(len(counts)), accumulate(runs)):
         counts[idx] += run
+
+
+@lru_cache(maxsize=1)
+def _carry(n: int) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
+    """Every cell of every partition of n, tallied: the first column's
+    arm-leg and the other cells' (flattened, index arm * n + leg), the
+    first column's hook counts and the other cells', the row-length
+    counts, and p(n).  Carried from the tallies of n - 1.
+
+    The partitions of n whose last part is 1 are those of n - 1 with a
+    bottom row of length 1 added.  That row adds one cell, arm 0, leg 0
+    and hook 1, and raises by one the leg and the hook of every other
+    cell in the first column; no other cell changes.  So the first
+    column's arm-leg and hook counts are shifted by one leg, p(n - 1) is
+    added to (0, 0), to hook 1 and to rows of length 1, and the rest is
+    kept.  Then the cores of n, the partitions with no part 1, are walked
+    by ``partitions.runs_of`` and tallied cell by cell, each once.
+
+    A core is read as its runs, each a block of equal rows, from the
+    bottom up.  With ends[t] = mults[0] + ... + mults[t], run t is rows
+    ends[t-1] .. ends[t]-1 (0-based, ends[-1] = 0) of length vals[t], and
+    it adds columns vals[t+1] .. vals[t]-1, each holding ends[t] cells,
+    to the columns the runs below it reach; a per-n table holds each
+    column's share of the cell indices, shared by every core, and is read
+    from column 1 on.  In a block of m rows of length L, column j holds
+    one arm, L-1-j, and m consecutive legs, so also m consecutive hooks.
+    The first column, and off it every block of m >= 2 rows, adds 1 at
+    the run's start and takes it off past its end in an arm-leg and a
+    hook difference array; off the first column a block of one row adds
+    its cells to the count tables directly.  Once per n, the running sums
+    of the difference arrays are added into the count tables.
+
+    Only the latest n is cached: calls in ascending n cost one step each,
+    and a call below it starts again from 0, one step per n (the
+    recursion is n deep).  The result is never mutated; each step copies.
+    """
+    width = n
+    # the tallies of n - 1 (none below 0), laid out at this width with
+    # the first column's legs and hooks one higher
+    first, rest = [0] * (width * width), [0] * (width * width)
+    first_hooks, rest_hooks, rows, count = [0], [0] * (width + 1), [0] * (width + 1), 0
+    if n > 0:
+        prev_first, prev_rest, prev_first_hooks, prev_rest_hooks, prev_rows, count = _carry(n - 1)
+        for arm in range(width - 1):
+            old = arm * (width - 1)
+            first[arm * width + 1 : arm * width + width] = prev_first[old : old + width - 1]
+            rest[arm * width : arm * width + width - 1] = prev_rest[old : old + width - 1]
+        first[0] += count
+        first_hooks += prev_first_hooks
+        first_hooks[1] += count
+        rest_hooks[:width] = prev_rest_hooks
+        rows[:width] = prev_rows
+        rows[1] += count
+    # Difference arrays.  An off-first-column run's end mark may spill into
+    # the next arm row's first entry, never past the last row: a block of
+    # two or more rows of length L has L <= width / 2, so its marks stay
+    # below L * width.  A first-column run's end mark, (L-1) * width +
+    # height, stays below width * width, for a core's height is at most
+    # width / 2.  A hook run's end mark may fall one past hook ``width``
+    # (the column of a single row), so those arrays are one entry longer
+    # than the hook counts.
+    first_runs, rest_runs = [0] * (width * width), [0] * (width * width)
+    first_hook_runs, rest_hook_runs = [0] * (width + 2), [0] * (width + 2)
+    # table[e][j]: column j's share of a cell's arm-leg index and of its
+    # hook when the column holds e cells (conj[j] = e).  Rows 0 .. e-1
+    # then all reach column j, so the partition has at least e * (j + 1)
+    # cells and j < n // e; table[0] is never read.
+    table = [[]] + [[(e - j * width, e - j) for j in range(n // e)] for e in range(1, n + 1)]
+    for vals, mults in runs_of(n):
+        if vals and vals[-1] == 1:
+            continue
+        count += 1
+        height = sum(mults)
+        # blocks bottom up: rows first .. last-1 all have length
+        # `length`; the columns below .. length-1 (from column 1) first
+        # appear here, and each holds `last` cells
+        cols = []
+        below, last = 1, height
+        for length, mult in zip(reversed(vals), reversed(mults)):
+            rows[length] += mult
+            cols += table[last][below:length]
+            below, first_row = length, last - mult
+            base = (length - 1) * width
+            # first column: arm = length-1, legs height-last .. height-first_row-1
+            first_runs[base + height - last] += 1
+            first_runs[base + height - first_row] -= 1
+            first_hook_runs[length + height - last] += 1
+            first_hook_runs[length + height - first_row] -= 1
+            if mult == 1:
+                # cell j: arm = length-1-j, leg = conj[j]-last
+                base -= last
+                hook_base = length - last
+                for arm_leg_col, hook_col in cols:
+                    rest[base + arm_leg_col] += 1
+                    rest_hooks[hook_base + hook_col] += 1
+            else:
+                # column j: arm = length-1-j, legs conj[j]-last .. conj[j]-first_row-1
+                start, stop = base - last, base - first_row
+                hook_start, hook_stop = length - last, length - first_row
+                for arm_leg_col, hook_col in cols:
+                    rest_runs[start + arm_leg_col] += 1
+                    rest_runs[stop + arm_leg_col] -= 1
+                    rest_hook_runs[hook_start + hook_col] += 1
+                    rest_hook_runs[hook_stop + hook_col] -= 1
+            last = first_row
+    for counts, runs in (
+        (first, first_runs),
+        (rest, rest_runs),
+        (first_hooks, first_hook_runs),
+        (rest_hooks, rest_hook_runs),
+    ):
+        _add_runs(counts, runs)
+    return first, rest, first_hooks, rest_hooks, rows, count
 
 
 @lru_cache(maxsize=None)
 def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mapping[int, int]]:
     """Arm-leg and arm-left multisets, hook and part polynomials of n.
 
-    One pass over the partitions of n, through ``_rows_tallied``: it
-    counts the row lengths of every partition as it yields its runs
-    (``vals[t]`` repeated ``mults[t]`` times), and arm-left and part are
-    expanded from those counts by ``_expand_rows``.  No partition tuple
-    and no conjugate is built.
-
-    Conjugation maps cell (i, j) of lambda to cell (j, i) of lambda',
-    arm and leg swapped, hook kept, so a conjugate pair {lambda,
-    lambda'} contributes T + T^t to arm-leg and twice its hooks, where T
-    and the hooks are lambda's alone.  A partition whose first part
-    exceeds its length, the sum of its multiplicities, is skipped: the
-    conjugate's first part is smaller than its length, and it is tallied
-    instead, with weight two.  A partition whose first part equals its
-    length (a tie) has a conjugate that is a tie too, so every tie is
-    tallied, with weight one: both members of a pair of distinct
-    conjugate ties, and a self-conjugate partition once.
-
-    The tallied partition is read as its runs, each a block of equal
-    rows, from the bottom up.  With ends[t] = mults[0] + ... + mults[t],
-    run t is rows ends[t-1] .. ends[t]-1 (0-based, ends[-1] = 0) of
-    length vals[t], and it adds columns vals[t+1] .. vals[t]-1, each
-    holding ends[t] cells, to the columns the runs below it reach; a
-    per-n table holds each column's share of the cell indices, shared by
-    every partition.  In a block of m >= 2 rows of length L, column j
-    holds one arm, L-1-j, and m consecutive legs, so also m consecutive
-    hooks; each column adds the weight at the run's start and takes it
-    off past its end in an arm-leg and a hook difference array.  A block of one row adds its cells to the count tables
-    directly.  Once per n, the running sums of the difference arrays are
-    added into the count tables, and arm-leg folded with its transpose,
-    in O(n^2).  All four results are read-only: callers share these
-    cached objects.
+    Read off ``_carry(n)``: arm-leg and hook add the first column's
+    counts to the other cells', and arm-left and part are expanded from
+    the row-length counts by ``_expand_rows``.  No partition tuple and no
+    conjugate is built.  All four results are read-only: callers share
+    these cached objects.
     """
-    width = n
-    # Cell counts and difference arrays; arm-leg is flattened, index
-    # arm * width + leg.  An arm-leg run's end mark may spill into the
-    # next arm row's first entry, never past the last row: a block of two
-    # or more rows of length L has L <= width / 2, so its marks stay below
-    # L * width.  A hook run's end mark may fall one past hook ``width``
-    # (the column of (1, ..., 1)), so that array is one entry longer than
-    # the hook counts.
-    arm_leg, hooks = [0] * (width * width), [0] * (width + 1)
-    arm_leg_runs, hook_runs = [0] * (width * width), [0] * (width + 2)
-    # table[e][j]: column j's share of a cell's arm-leg index and of its
-    # hook when the column holds e cells (conj[j] = e).  Rows 0 .. e-1
-    # then all reach column j, so the partition has at least e * (j + 1)
-    # cells and j < n // e; table[0] is never read.
-    table = [[]] + [[(e - j * width, e - j) for j in range(n // e)] for e in range(1, n + 1)]
-    rows = [0] * (n + 1)
-    for vals, mults in _rows_tallied(n, rows):
-        height = sum(mults)
-        if not vals or vals[0] > height:
-            continue
-        weight = 1 if vals[0] == height else 2
-        # blocks bottom up: rows first .. last-1 all have length
-        # `length`; the columns below .. length-1 first appear here, and
-        # each holds `last` cells
-        cols = []
-        below, last = 0, height
-        for length, mult in zip(reversed(vals), reversed(mults)):
-            cols += table[last][below:length]
-            below, first = length, last - mult
-            base = (length - 1) * width
-            if mult == 1:
-                # cell j: arm = length-1-j, leg = conj[j]-last
-                base -= last
-                hook_base = length - last
-                for arm_leg_col, hook_col in cols:
-                    arm_leg[base + arm_leg_col] += weight
-                    hooks[hook_base + hook_col] += weight
-            else:
-                # column j: arm = length-1-j, legs conj[j]-last .. conj[j]-first-1
-                start, stop = base - last, base - first
-                hook_start, hook_stop = length - last, length - first
-                for arm_leg_col, hook_col in cols:
-                    arm_leg_runs[start + arm_leg_col] += weight
-                    arm_leg_runs[stop + arm_leg_col] -= weight
-                    hook_runs[hook_start + hook_col] += weight
-                    hook_runs[hook_stop + hook_col] -= weight
-            last = first
-    _add_runs(arm_leg, arm_leg_runs)
-    _add_runs(hooks, hook_runs)
-    # arm_leg is P = 2T + S, T over the partitions tallied with weight
-    # two and S over the ties; the ties are closed under conjugation, so S
-    # is symmetric, P + P^t is even and half of it is T + T^t + S exactly
-    leg_pairs = {}
-    for c in range(width):
-        for d in range(width):
-            cnt = (arm_leg[c * width + d] + arm_leg[d * width + c]) // 2
-            if cnt:
-                leg_pairs[(c, d)] = cnt
+    first, rest, first_hooks, rest_hooks, rows, _ = _carry(n)
+    arm_leg = {divmod(idx, n): cnt for idx, cnt in enumerate(map(add, first, rest)) if cnt}
+    hooks = {e: cnt for e, cnt in enumerate(map(add, first_hooks, rest_hooks)) if cnt}
     arm_left, part_poly = _expand_rows(rows)
     return (
-        PairMultiset(counts=MappingProxyType(leg_pairs)),
+        PairMultiset(counts=MappingProxyType(arm_leg)),
         arm_left,
-        MappingProxyType({e: cnt for e, cnt in enumerate(hooks) if cnt}),
+        MappingProxyType(hooks),
         part_poly,
     )
 

@@ -8,8 +8,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -261,16 +259,6 @@ def test_value_error_in_verifier_is_internal_error(capsys, monkeypatch):
     )
     assert code == 3
     assert "ValueError: bug" in err
-
-
-def test_broken_pool_is_internal_error(capsys, monkeypatch):
-    def broken(fn, items, jobs):
-        raise BrokenProcessPool("a worker died")
-
-    monkeypatch.setattr(cli, "_map_ordered", broken)
-    code, _, err = invoke(capsys, *"verify identity1 --n-max 5 --jobs 2".split())
-    assert code == 3
-    assert "BrokenProcessPool: a worker died" in err
 
 
 def test_matching_identity_violation_exits_1(capsys, monkeypatch):
@@ -601,102 +589,25 @@ def test_report_documents_byte_for_byte(fmt):
     assert _render_reports(reports, fmt) == (REPORT_DOCUMENTS[fmt], 1)
 
 
-# --- worker pool ----------------------------------------------------------------
-
-
-def test_pool_size_clamps_to_items_and_cores():
-    assert cli._pool_size(10**6, 41, 2) == 2
-    assert cli._pool_size(10**6, 41, 64) == 41
-    assert cli._pool_size(2, 41, 2) == 2
-    assert cli._pool_size(3, 41, None) == 1
-    assert cli._pool_size(1, 41, 8) == 1
-    assert cli._pool_size(4, 0, 8) == 1
-
-
-_MAIN_PID = os.getpid()
-_serial_calls = []
-
-
-def _divide_by_zero(n):
-    # calls made in this process (not in a pool worker) mean a serial run
-    if os.getpid() == _MAIN_PID:
-        _serial_calls.append(n)
-    return n // 0
-
-
-def test_verifier_error_propagates_without_serial_rerun(capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _serial_calls.clear()
-    with pytest.raises(ZeroDivisionError):
-        cli._map_ordered(_divide_by_zero, range(8), jobs=2)
-    assert _serial_calls == []
-    assert "worker pool unavailable" not in capsys.readouterr().err
-
-
-def test_pool_start_failure_falls_back_to_serial(capsys, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise OSError("no semaphores here")
-
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
-    assert cli._map_ordered(str, range(5), jobs=2) == ["0", "1", "2", "3", "4"]
-    assert "worker pool unavailable (no semaphores here)" in capsys.readouterr().err
-
-
-def _square(n):
-    return n * n
-
-
-def test_pool_results_keep_input_order(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert cli._map_ordered(_square, range(20), jobs=2) == [n * n for n in range(20)]
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: runs each task at submit, in order."""
-
-    submitted = []
-
-    def __init__(self, max_workers):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-    def submit(self, fn, item):
-        self.submitted.append(item)
-        future = Future()
-        future.set_result(fn(item))
-        return future
-
-
-def test_pool_dispatches_largest_first(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "submitted", [])
-    assert cli._map_ordered(str, range(6), jobs=2) == ["0", "1", "2", "3", "4", "5"]
-    assert _RecordingPool.submitted == [5, 4, 3, 2, 1, 0]
-
-
 def test_cli_import_loads_no_pool_modules():
-    # a fresh interpreter: this one has imported concurrent.futures already
+    # a fresh interpreter: this one has imported concurrent.futures already;
+    # the range verifications run in this one process whatever --jobs says
     src = os.path.dirname(os.path.dirname(hookpart.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
+    pool_modules = "sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)"
     script = (
         "import sys, hookpart.cli; hookpart.cli.build_parser(); "
-        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+        f"print({pool_modules}); "
+        "codes = [hookpart.cli.run(['verify', check, '--n-max', '5', '--jobs', '2']) "
+        "for check in ('theorem1', 'identity1')]; "
+        f"print(codes, {pool_modules})"
     )
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    lines = done.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[0, 0] []")
 
 
 def test_cli_launch_loads_no_unused_modules():

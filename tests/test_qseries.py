@@ -301,8 +301,25 @@ def test_partial_euler_inv_rejects_negative_m():
         lambda order: gauss_binomial(2, 2, order),
         euler_inv,
         lambda order: box_quotient(2, 3, order),
+        zero,
+        lambda order: make_monomial(1, order),
+        lambda order: qseries.euler_sum(1, [], order),
+        lambda order: qseries.gauss_sum(1, 1, 2, order),
+        lambda order: lemma_rhs(0, 0, order),
     ],
-    ids=["one", "q_pochhammer", "partial_euler_inv", "gauss_binomial", "euler_inv", "box_quotient"],
+    ids=[
+        "one",
+        "q_pochhammer",
+        "partial_euler_inv",
+        "gauss_binomial",
+        "euler_inv",
+        "box_quotient",
+        "zero",
+        "make_monomial",
+        "euler_sum",
+        "gauss_sum",
+        "lemma_rhs",
+    ],
 )
 def test_negative_order_is_rejected(build):
     with pytest.raises(ValueError, match="series order must be nonnegative, got -3"):

@@ -172,11 +172,12 @@ def enumerations(monkeypatch):
         return runs_of(n)
 
     monkeypatch.setattr(statistics, "runs_of", counting)
-    statistics._sweep.cache_clear()
-    statistics._row_sweep.cache_clear()
+    caches = (statistics._sweep, statistics._carry, statistics._row_sweep)
+    for cached in caches:
+        cached.cache_clear()
     yield calls
-    statistics._sweep.cache_clear()
-    statistics._row_sweep.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 def test_each_n_enumerated_once(enumerations):
@@ -185,7 +186,8 @@ def test_each_n_enumerated_once(enumerations):
     assert stat_polynomial(12, "hook") == slow_stat_poly(12, "hook")
     assert stat_polynomial(12, "part") == slow_stat_poly(12, "part")
     assert build_pair_multiset(12, "arm-leg").total == 12 * count_partitions(12)
-    assert enumerations == [12]
+    # the carried pass walks each n up to 12 once, ascending
+    assert enumerations == list(range(13))
 
 
 def test_arm_left_reads_rows_only(enumerations, monkeypatch):
@@ -247,13 +249,26 @@ def cells_tally(n):
     return arm_leg, arm_left, hooks, part_poly
 
 
-# n = 24 and 30 hold 47 and 159 pairs of distinct conjugates whose first
-# part equals their length, and 11 and 18 self-conjugates
+def swept(n):
+    """``_sweep(n)``'s four results as plain dicts, like ``cells_tally``'s."""
+    arm_leg, arm_left, hook_poly, part_poly = statistics._sweep(n)
+    return dict(arm_leg.counts), dict(arm_left.counts), dict(hook_poly), dict(part_poly)
+
+
+# most partitions of n come carried from n - 1: 1255 of the 1575 of 24,
+# and 4565 of the 5604 of 30, have a part 1
 @pytest.mark.parametrize("n", [24, 30])
 def test_sweep_matches_cells_tally(n):
-    arm_leg, arm_left, hook_poly, part_poly = statistics._sweep(n)
-    swept = (dict(arm_leg.counts), dict(arm_left.counts), dict(hook_poly), dict(part_poly))
-    assert swept == cells_tally(n)
+    assert swept(n) == cells_tally(n)
+
+
+def test_sweep_out_of_order_matches_cells_tally(enumerations):
+    # only the carried n is kept: a call below it starts again from 0, and
+    # one above it steps on from it
+    for n in (24, 9, 30, 24):
+        statistics._sweep.cache_clear()
+        assert swept(n) == cells_tally(n), n
+    assert enumerations == [*range(25), *range(10), *range(10, 31), *range(25)]
 
 
 @pytest.mark.parametrize("n", range(26))
