@@ -37,7 +37,7 @@ print("\n=== Gaussian binomials: box-bounded diagrams ===\n")
 for m, n in [(2, 2), (2, 3), (3, 3)]:
     g = gauss_binomial(m, n, m * n)
     print(f"box {m}x{n}: {list(g.coeffs)}  palindrome={list(g.coeffs) == list(g.coeffs)[::-1]}")
-print("\nbrute enumeration agrees with the recurrence for the 3x3 box:",
+print("\nbrute enumeration agrees with the product for the 3x3 box:",
       box_gf_brute(3, 3) == gauss_binomial(3, 3, 9))
 
 print("\n=== Two classical expansion facts, checked coefficient-wise ===\n")

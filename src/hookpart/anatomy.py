@@ -205,13 +205,8 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
 
 
 def _euler_box_head(c: int, d: int, order: int) -> QSeries:
-    """q^(c+d+1)/(q)_inf * (q)_{c+d}/(q)_c, the head of stages 2 and 3."""
-    return (
-        make_monomial(c + d + 1, order)
-        * euler_inv(order)
-        * q_pochhammer(1, c + d, order)
-        * partial_euler_inv(c, order)
-    )
+    """q^(c+d+1)/(q)_inf * (q^(c+1))_d, the head of stages 2 and 3."""
+    return make_monomial(c + d + 1, order) * euler_inv(order) * q_pochhammer(c + 1, d, order)
 
 
 def _corner_rows(c: int, d: int, order: int) -> list[int]:
@@ -262,15 +257,15 @@ def _chain_stage2(c: int, d: int, order: int) -> QSeries:
 
     q^(c+d+1)/(q)_inf * (q)_{c+d}/(q)_c
         * sum_i q^(i(c+1)) (q)_{i+d} / ((q)_d (q)_i)
-    where each summand is the Gaussian binomial q^(i(c+1)) [i+d, d]_q, and
-    the sum is ``qseries.gauss_sum``'s.
+    with (q)_{c+d}/(q)_c = (q^(c+1))_d and each summand the Gaussian
+    binomial q^(i(c+1)) [i+d, d]_q; the sum is ``qseries.gauss_sum``'s.
     """
     rows = len(_corner_rows(c, d, order))
     return _euler_box_head(c, d, order) * gauss_sum(c + 1, d, rows, order)
 
 
 def _chain_stage3(c: int, d: int, order: int) -> QSeries:
-    """After collapsing the outer sum:
+    """After collapsing the outer sum, with (q)_{c+d}/(q)_c = (q^(c+1))_d:
 
     q^(c+d+1)/(q)_inf * (q)_{c+d} / ((q)_c (q^(c+1))_{d+1}).
     """

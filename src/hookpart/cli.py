@@ -33,21 +33,21 @@ FACT_ARGS = {1: ("a", "k", "trunc"), 2: ("k", "trunc"), 3: ("m", "n"), 4: ("m", 
 FACT4_MAX_ORDER = 60
 
 # fact 3 enumerates all C(m+n, m) partitions in the m-by-n box and builds
-# Gaussian binomials and the quotient (q)_{m+n} / ((q)_m (q)_n) at order
-# m*n, about (m*n)^2 steps; at the limits the boxes 11x11, 3x179, 179x3,
-# 2x1000, 1000x2, 2000x1 and 1x2000 take 0.5-0.8 s on one 2-core host (the
-# brute walk takes the shorter side as rows), while 12x12 took 1.5 s and
-# 20000x1 28 s.  A side is bounded too: with the other side 0 the area is
-# 0, but the Gaussian binomial still takes a step per row or column
+# Gaussian binomials and, in about (m+n)*m*n steps, the quotient (q)_{m+n} /
+# ((q)_m (q)_n) at order m*n; at the limits the boxes 11x11, 3x179, 179x3,
+# 2x1000, 1000x2, 2000x1 and 1x2000 take 0.3-0.7 s in fresh processes on one
+# 2-core host (the brute walk takes the shorter side as rows), while in
+# process 12x12 took 1.5 s and 20000x1 32 s.  A side is bounded too, as an
+# input check, though an empty box costs O(1)
 FACT3_MAX_BOX_PARTITIONS = 10**6
 FACT3_MAX_AREA = 2000
 
 # `series gauss` builds its Gaussian binomial at order m*n by default, about
-# (m*n)^2 / 4 steps for a square box and (m*n)^2 / 2 for a thin one: at the
-# limit 1x10000 takes 4.3 s, 2x5000 3.9 s and 100x100 2.4 s on one 2-core
-# host.  Each side is bounded too, as for fact 3: an empty box still takes a
-# step per row of its longer side.  --trunc is bounded by the same limit, the
-# highest order the default m*n reaches: past m*n every coefficient is 0
+# 2 * min(m, n) * m*n steps: at the limit, in fresh processes on one 2-core
+# host, 100x100 takes 0.19-0.23 s, and 1x10000, 10000x1 and 2x5000 each
+# 0.07-0.12 s.  Each side is bounded too, as for fact 3, as an input check.
+# --trunc is bounded by the same limit, the highest order the default m*n
+# reaches: past m*n every coefficient is 0
 GAUSS_MAX_AREA = 10**4
 
 # the chain's stages 0 and 1 hold most of its cost; in a sweep of c, d over
@@ -413,10 +413,15 @@ def _check_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> No
     label = getattr(args, "kind", None) or getattr(args, "check", None) or args.command
     if label == "fact":
         label = f"fact {args.fact_id}"
-        missing = [name for name in FACT_ARGS[args.fact_id] if getattr(args, name) is None]
+        taken = FACT_ARGS[args.fact_id]
+        missing = ", ".join("--" + name for name in taken if getattr(args, name) is None)
         if missing:
-            flags = ", ".join("--" + name for name in missing)
-            parser.error(f"{label} requires {flags}")
+            parser.error(f"{label} requires {missing}")
+        # another fact's flag would go unread, so it is refused
+        other = sorted(set().union(*FACT_ARGS.values()) - set(taken))
+        unread = ", ".join("--" + name for name in other if getattr(args, name) is not None)
+        if unread:
+            parser.error(f"{label} does not take {unread}")
     area_cap = {"gauss": GAUSS_MAX_AREA, "fact 3": FACT3_MAX_AREA}.get(label)
     if area_cap is not None and max(args.m, args.n, args.m * args.n) > area_cap:
         parser.error(

@@ -2,9 +2,10 @@
 
 Every series carries integer coefficients for the exponents 0..order
 inclusive and nothing beyond; all constructors and products truncate
-eagerly at that order.  Coefficients are Python ints, so arithmetic is
-exact at any size.  Binary operations insist on equal orders -- use
-``truncate`` to drop precision explicitly.
+eagerly at that order.  Coefficients are Python ints (a float or a str
+is refused, not rounded or parsed), so arithmetic is exact at any size.
+Binary operations insist on equal orders -- use ``truncate`` to drop
+precision explicitly.
 
 Infinite products and sums are truncated by a minimal-degree cutoff: a
 factor or term is included iff its lowest-degree monomial has exponent
@@ -13,6 +14,7 @@ factor or term is included iff its lowest-degree monomial has exponent
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -77,7 +79,7 @@ class QSeries:
     def __init__(self, coeffs: Sequence[int]):
         if len(coeffs) == 0:
             raise ValueError("a series carries at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(map(int, coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, coeffs)))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("QSeries is immutable")
@@ -199,26 +201,25 @@ def _check_orders(a: QSeries, b: QSeries) -> None:
         raise ValueError(f"order mismatch: {a.order} vs {b.order}")
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError(f"series order must be nonnegative, got {order}")
+def _check_nonneg(name: str, value: int) -> None:
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def zero(order: int) -> QSeries:
-    _check_order(order)
+    _check_nonneg("series order", order)
     return QSeries([0] * (order + 1))
 
 
 def one(order: int) -> QSeries:
-    _check_order(order)
+    _check_nonneg("series order", order)
     return QSeries([1] + [0] * order)
 
 
 def make_monomial(e: int, order: int) -> QSeries:
     """q^e at the given order; exponents beyond the order truncate to 0."""
-    if e < 0:
-        raise ValueError(f"exponent must be nonnegative, got {e}")
-    _check_order(order)
+    _check_nonneg("exponent", e)
+    _check_nonneg("series order", order)
     coeffs = [0] * (order + 1)
     if e <= order:
         coeffs[e] = 1
@@ -240,9 +241,9 @@ def q_pochhammer(k: int, count: Optional[int], order: int) -> QSeries:
     """
     if k < 1:
         raise ValueError("q_pochhammer requires k >= 1")
-    if count is not None and count < 0:
-        raise ValueError(f"factor count must be nonnegative, got {count}")
-    _check_order(order)
+    if count is not None:
+        _check_nonneg("factor count", count)
+    _check_nonneg("series order", order)
     if count is None:
         exponents = range(k, order + 1)
     else:
@@ -272,9 +273,8 @@ def partial_euler_inv(m: int, order: int) -> QSeries:
     quotient.  Each factor costs O(order); factors with k > order are 1
     to this precision, so at most min(m, order) of them are divided out.
     """
-    if m < 0:
-        raise ValueError(f"m must be nonnegative, got {m}")
-    _check_order(order)
+    _check_nonneg("m", m)
+    _check_nonneg("series order", order)
     coeffs = [1] + [0] * order
     for k in range(1, min(m, order) + 1):
         for e in range(k, order + 1):
@@ -291,7 +291,8 @@ def euler_sum(shift: int, summands: Sequence[QSeries], order: int) -> QSeries:
     per term one in-place division by a two-term factor (e ascending, so
     acc[e - k] already holds the quotient) and one shift, O(order).
     """
-    _check_order(order)
+    _check_nonneg("shift", shift)
+    _check_nonneg("series order", order)
     acc = [0] * (order + 1)
     for j in range(len(summands) - 1, -1, -1):
         k = j + 1
@@ -316,7 +317,9 @@ def gauss_sum(shift: int, a: int, terms: int, order: int) -> QSeries:
     by (1 - q^(d+i)); this loop stays apart from theirs, so that a fault in
     either shows as a stage mismatch.
     """
-    _check_order(order)
+    _check_nonneg("shift", shift)
+    _check_nonneg("a", a)
+    _check_nonneg("series order", order)
     acc = [0] * (order + 1)
     row = [1] + [0] * order
     for j in range(terms):
@@ -338,30 +341,28 @@ def gauss_sum(shift: int, a: int, terms: int, order: int) -> QSeries:
 def gauss_binomial(m: int, n: int, order: int) -> QSeries:
     """Gaussian binomial for the m-by-n box, truncated to the given order.
 
-    A polynomial of degree min(m*n, order); equal as a series to
-    (q)_{m+n} / ((q)_m (q)_n), but computed by the cell-at-the-corner
-    recurrence F(a,b) = q^b * F(a-1,b) + F(a,b-1), F(0,b) = F(a,0) = 1,
-    which stays in integers throughout (no division).  The binomial is
-    symmetric in m and n, so n is taken as the shorter side, and one row
-    of boxes F(a, 0..n) is kept at a time, each truncated at the order:
-    the cost is O(m * n * min(m*n, order)) and the memory
-    O(min(m, n) * min(m*n, order)) whatever the box size.
+    A polynomial of degree m*n: the product over j = 1..n of
+    (1 - q^(m+j)) / (1 - q^j), equal to (q)_{m+n} / ((q)_m (q)_n), with n
+    the shorter side (the binomial is symmetric).  One list, kept up to
+    top = min(m*n, order), is multiplied by (1 - q^(m+j)) in place with e
+    descending, then divided by (1 - q^j) with e ascending; both factors
+    have constant term 1, so each step is exact up to top.  The cost is
+    O(min(m, n) * top) and the memory one list of top + 1 ints.
     """
     if m < 0 or n < 0:
         raise ValueError("box dimensions must be nonnegative")
-    _check_order(order)
+    _check_nonneg("series order", order)
     if n > m:
         m, n = n, m
-    row = [[1] for _ in range(n + 1)]
-    for a in range(1, m + 1):
-        for b in range(1, n + 1):
-            above, left = row[b], row[b - 1]  # F(a-1, b) and F(a, b-1)
-            box = left + [0] * (min(a * b, order) + 1 - len(left))
-            for e in range(b, len(box)):
-                box[e] += above[e - b]
-            row[b] = box
-    coeffs = row[n]
-    return QSeries(coeffs + [0] * (order + 1 - len(coeffs)))
+    top = min(m * n, order)
+    acc = [1] + [0] * top
+    for j in range(1, n + 1):
+        s = m + j
+        for e in range(top, s - 1, -1):
+            acc[e] -= acc[e - s]
+        for e in range(j, top + 1):
+            acc[e] += acc[e - j]
+    return QSeries(acc + [0] * (order - top))
 
 
 def box_quotient(m: int, n: int, order: int) -> QSeries:
@@ -391,7 +392,7 @@ def lemma_rhs(c: int, d: int, order: int) -> QSeries:
     """
     if c < 0 or d < 0:
         raise ValueError("pair entries must be nonnegative")
-    _check_order(order)
+    _check_nonneg("series order", order)
     step = c + d + 1
     marked_row = make_monomial(step, order)
     repeat = (one(order) - make_monomial(step, order)).invert()
@@ -439,8 +440,7 @@ def verify_fact1(a: int, k: int, order: int) -> VerifyReport:
     Factors (1 - q^e) with e > order are 1, so the cost, about order^2/k,
     stops growing once a passes the order.
     """
-    if a < 0:
-        raise ValueError(f"a must be nonnegative, got {a}")
+    _check_nonneg("a", a)
     if k < 1:
         raise ValueError("specialization exponent k must be >= 1")
     lhs = q_pochhammer(k, a + 1, order).invert()

@@ -331,30 +331,27 @@ def verify_lemma(c: int, d: int, stat: str, n_max: int, order: int) -> VerifyRep
 def verify_fact3(m: int, n: int) -> VerifyReport:
     """Check the m-by-n box enumerator three ways.
 
-    Brute enumeration of box-bounded partitions must match the Gaussian
-    binomial; so must, coefficient-wise at order m*n, the corner recurrence
-    F(m,n) = q^n F(m-1,n) + F(m,n-1)  (F with a zero side is 1)
-    and the literal quotient (q)_{m+n} / ((q)_m (q)_n) by ``box_quotient``.
+    Brute enumeration of box-bounded partitions must match the product
+    ``gauss_binomial`` builds; so must, coefficient-wise at order m*n, the
+    corner recurrence over its smaller boxes, F(m,n) = q^n F(m-1,n) +
+    F(m,n-1) (F with a zero side is 1), and the literal quotient
+    (q)_{m+n} / ((q)_m (q)_n) by ``box_quotient``.
     This fact is the check of ``box_quotient``, the head of chain stages 0-1.
     """
     context = f"fact3(m={m}, n={n})"
     order = m * n
     closed = gauss_binomial(m, n, order)
-    report = compare_series(context + " [brute vs closed]", box_gf_brute(m, n), closed)
-    if not report.passed:
-        return report
     if m == 0 or n == 0:
         recurrence = one(order)
     else:
         recurrence = make_monomial(n, order) * gauss_binomial(m - 1, n, order) + gauss_binomial(
             m, n - 1, order
         )
-    report = compare_series(context + " [recurrence]", recurrence, closed)
-    if not report.passed:
-        return report
-    report = compare_series(context + " [quotient]", box_quotient(m, n, order), closed)
-    if not report.passed:
-        return report
+    brute, quotient = box_gf_brute(m, n), box_quotient(m, n, order)
+    for label, side in (("brute vs closed", brute), ("recurrence", recurrence), ("quotient", quotient)):
+        report = compare_series(f"{context} [{label}]", side, closed)
+        if not report.passed:
+            return report
     return VerifyReport.success(context)
 
 

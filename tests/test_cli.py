@@ -72,6 +72,24 @@ def test_fact_missing_flags_is_usage_error(capsys):
     assert "--a" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--id 3 --m 2 --n 2 --trunc 5", "fact 3 does not take --trunc"),
+        ("--id 2 --k 1 --trunc 10 --a 5 --m 7", "fact 2 does not take --a, --m"),
+        ("--id 4 --m 2 --trunc 10 --k 3", "fact 4 does not take --k"),
+        ("--id 1 --a 1 --k 1 --trunc 5 --n 4", "fact 1 does not take --n"),
+    ],
+)
+def test_fact_flag_it_does_not_take_is_usage_error(capsys, argv, message):
+    code, out, err = invoke(capsys, "verify", "fact", *argv.split())
+    assert code == 2 and out == ""
+    assert err == (
+        "usage: hookpart [-h] {verify,series,multiset,match} ...\n"
+        f"hookpart: error: {message}\n"
+    )
+
+
 def test_fact4_order_above_cap_is_usage_error(capsys):
     argv = ["verify", "fact", "--id", "4", "--m", "2", "--trunc", str(cli.FACT4_MAX_ORDER + 1)]
     code, out, err = invoke(capsys, *argv)

@@ -95,6 +95,19 @@ def test_coefficient_bounds():
     assert zero(3).coefficient(3) == 0
 
 
+@pytest.mark.parametrize("coeff", [1.5, "1"])
+def test_non_integer_coefficients_are_rejected(coeff):
+    # exact arithmetic: a float is not truncated, a str not parsed
+    with pytest.raises(TypeError):
+        QSeries([1, coeff])
+
+
+def test_bool_coefficients_are_ints():
+    series = QSeries([True, False, 3])
+    assert series.coeffs == (1, 0, 3)
+    assert all(type(c) is int for c in series.coeffs)
+
+
 def test_immutable():
     s = QSeries([1, 2])
     with pytest.raises(AttributeError):
@@ -326,6 +339,30 @@ def test_negative_order_is_rejected(build):
         build(-3)
 
 
+def test_euler_sum_rejects_negative_shift():
+    with pytest.raises(ValueError, match="shift must be nonnegative, got -1"):
+        qseries.euler_sum(-1, [], 5)
+    with pytest.raises(ValueError, match="shift must be nonnegative, got -1"):
+        qseries.euler_sum(-1, [one(5)] * 3, 5)
+    assert qseries.euler_sum(0, [one(5)], 5) == one(5)
+
+
+@pytest.mark.parametrize(
+    "shift, a, message",
+    [(-1, 1, "shift must be nonnegative, got -1"), (1, -2, "a must be nonnegative, got -2")],
+)
+def test_gauss_sum_rejects_negative_arguments(shift, a, message):
+    with pytest.raises(ValueError, match=message):
+        qseries.gauss_sum(shift, a, 3, 5)
+
+
+def test_gauss_sum_shift_zero_sums_the_rows():
+    expected = zero(5)
+    for j in range(3):
+        expected = expected + gauss_binomial(1, j, 5)
+    assert qseries.gauss_sum(0, 1, 3, 5) == expected
+
+
 @pytest.mark.parametrize("shift", [1, 2, 3, 4, 41])  # 41: above every order
 @pytest.mark.parametrize("order", [0, 1, 7, 40])
 def test_euler_sum_matches_literal_sum(order, shift):
@@ -388,8 +425,8 @@ def test_gauss_binomial_small():
 
 @pytest.mark.parametrize("m,n", [(0, 20_000), (20_000, 0), (1, 10_000)])
 def test_gauss_binomial_keeps_the_shorter_side(m, n):
-    # one list per column of the shorter side: a long empty or thin box
-    # holds a handful of lists, not one per column of the long side
+    # one list up to min(m*n, order) and one step per unit of the shorter
+    # side: a long empty or thin box holds one short list
     tracemalloc.start()
     try:
         series = gauss_binomial(m, n, 3)

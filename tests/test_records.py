@@ -1,5 +1,5 @@
 """The record types: immutable, compared and hashed by their fields, and
-picklable, since the worker pool sends reports between processes."""
+picklable, as part of their API."""
 
 import pickle
 
