@@ -68,9 +68,9 @@ SERIES_MAX_ORDER = 6000
 # theorem1, identity1, lemma and anatomy enumerate every partition of every
 # n <= --n-max, and multiset every partition of --n (arm-leg: of every
 # n <= --n), about 6x the cost per +10: at the limit, on one 2-core host,
-# four runs each, the slowest, `verify anatomy --c 0 --d 0`, takes 2.1-2.2 s,
-# theorem1 and identity1 0.8-1.2 s, `lemma` 0.5-0.9 s and `multiset`
-# 0.1-0.8 s
+# four runs each, the slowest, `verify anatomy --c 0 --d 0`, takes 1.5-1.6 s,
+# `lemma` 0.25-0.3 s (arm-leg) and 0.45-0.5 s (arm-left), theorem1 and
+# identity1 0.25-0.4 s in every format, and `multiset` 0.1-0.3 s
 ENUM_MAX_N = 45
 
 # `match` holds two ints for each of the n * p(n) cells of --n and writes

@@ -10,13 +10,17 @@ part lengths are equidistributed over the cells.
 Both multisets and the hook and part polynomials of every n come from
 one pass carried from n - 1 to n: the partitions of n are those of n - 1
 with a bottom row of length 1 added, which moves only the first column's
-legs and hooks, plus the cores of n, the partitions with no part 1.  Only
-the cores are walked cell by cell, as runs of equal parts by
-``partitions.runs_of``, so the cells of every n <= N cost one walk over
-p(N) partitions; no partition tuple and no conjugate is built.  Arm-left
-and part are expanded from row-length counts.  A second row tally, run
-alone over every partition of n with no per-cell work, gives the
-arm-left multiset to ``build_pair_multiset`` and the lemma check.  Pair
+legs and hooks, plus the cores of n, the partitions with no part 1.  The
+cores are carried one level deeper, from n - 2: those ending in 2 are the
+cores of n - 2 with a bottom row of length 2 added, which moves only the
+first two columns, the second being the first one arm shorter.  So the
+walk, ``partitions.runs_of(n, 2)`` as runs of equal parts, steps only
+through the cores, and only the partitions with every part >= 3 are
+tallied cell by cell: the cells of every n <= N cost one walk over p(N)
+partitions, no partition tuple and no conjugate built.  Arm-left and
+part are expanded from row-length counts.  A second row tally, run alone
+over every partition of n with no per-cell work, gives the arm-left
+multiset to ``build_pair_multiset`` and the lemma check.  Pair
 multisets are sparse count maps, never flattened lists.
 """
 
@@ -43,6 +47,10 @@ from hookpart.qseries import (
 
 PAIR_STATS = ("arm-leg", "arm-left")
 CELL_STATS = ("hook", "part")
+
+# first-column arm-leg, other arm-leg, first-column hooks, other hooks,
+# row lengths, count: the layout ``_carry`` documents
+_Tallies = tuple[list[int], list[int], list[int], list[int], list[int], int]
 
 
 class PairMultiset(NamedTuple):
@@ -97,71 +105,99 @@ def _row_sweep(n: int) -> PairMultiset:
 def _add_runs(counts: list[int], runs: list[int]) -> None:
     """Add the running sums of a difference array to cell counts, in place.
 
-    In place, so a step's peak holds no third table per statistic.
+    In place, so a step's peak holds no third table per statistic; the
+    difference array may run past the end of the counts.
     """
-    for idx, run in zip(range(len(counts)), accumulate(runs)):
-        counts[idx] += run
+    counts[:] = map(add, counts, accumulate(runs))
 
 
-@lru_cache(maxsize=1)
-def _carry(n: int) -> tuple[list[int], list[int], list[int], list[int], list[int], int]:
-    """Every cell of every partition of n, tallied: the first column's
-    arm-leg and the other cells' (flattened, index arm * n + leg), the
-    first column's hook counts and the other cells', the row-length
-    counts, and p(n).  Carried from the tallies of n - 1.
+def _add_bottom_row(tallies: _Tallies | None, length: int, width: int) -> _Tallies:
+    """Tallies laid out like ``_carry``'s, of some partitions of
+    width - length, with a bottom row of ``length`` added to each and
+    laid out at ``width``; no partitions when ``tallies`` is None.
 
-    The partitions of n whose last part is 1 are those of n - 1 with a
-    bottom row of length 1 added.  That row adds one cell, arm 0, leg 0
-    and hook 1, and raises by one the leg and the hook of every other
-    cell in the first column; no other cell changes.  So the first
-    column's arm-leg and hook counts are shifted by one leg, p(n - 1) is
-    added to (0, 0), to hook 1 and to rows of length 1, and the rest is
-    kept.  Then the cores of n, the partitions with no part 1, are walked
-    by ``partitions.runs_of`` and tallied cell by cell, each once.
+    The new row raises by one the leg and the hook of every cell in the
+    columns it spans and changes no other cell.  Of those columns only
+    the first is tallied here: its arm-leg and hook counts are shifted by
+    one leg, and its new cell (arm length - 1, leg 0, hook length) and
+    the new row are counted once per partition.  A row of 2's second
+    column is left to ``_carry``, which reads it off the first.
+    """
+    first, rest = [0] * (width * width), [0] * (width * width)
+    first_hooks, rest_hooks, rows = [0] * (width + 1), [0] * (width + 1), [0] * (width + 1)
+    if tallies is None:
+        return first, rest, first_hooks, rest_hooks, rows, 0
+    prev_first, prev_rest, prev_first_hooks, prev_rest_hooks, prev_rows, count = tallies
+    old = width - length
+    for arm in range(old):
+        first[arm * width + 1 : arm * width + old + 1] = prev_first[arm * old : arm * old + old]
+        rest[arm * width : arm * width + old] = prev_rest[arm * old : arm * old + old]
+    first[(length - 1) * width] += count
+    first_hooks[1 : old + 2] = prev_first_hooks
+    first_hooks[length] += count
+    rest_hooks[: old + 1] = prev_rest_hooks
+    rows[: old + 1] = prev_rows
+    rows[length] += count
+    return first, rest, first_hooks, rest_hooks, rows, count
 
-    A core is read as its runs, each a block of equal rows, from the
-    bottom up.  With ends[t] = mults[0] + ... + mults[t], run t is rows
-    ends[t-1] .. ends[t]-1 (0-based, ends[-1] = 0) of length vals[t], and
-    it adds columns vals[t+1] .. vals[t]-1, each holding ends[t] cells,
-    to the columns the runs below it reach; a per-n table holds each
-    column's share of the cell indices, shared by every core, and is read
-    from column 1 on.  In a block of m rows of length L, column j holds
-    one arm, L-1-j, and m consecutive legs, so also m consecutive hooks.
-    The first column, and off it every block of m >= 2 rows, adds 1 at
-    the run's start and takes it off past its end in an arm-leg and a
-    hook difference array; off the first column a block of one row adds
-    its cells to the count tables directly.  Once per n, the running sums
-    of the difference arrays are added into the count tables.
 
-    Only the latest n is cached: calls in ascending n cost one step each,
-    and a call below it starts again from 0, one step per n (the
-    recursion is n deep).  The result is never mutated; each step copies.
+@lru_cache(maxsize=3)
+def _cores(n: int) -> _Tallies:
+    """Every cell of every core of n, tallied, a core being a partition
+    with no part 1: the first column's arm-leg (flattened, index
+    arm * n + leg) and the arm-leg of the columns from the third on, the
+    hook counts of the same two, the row-length counts, and the number
+    of cores.  Carried from the cores of n - 2.
+
+    Every row of a core reaches the second column, so the second column
+    holds the first one's cells one arm shorter, with the same legs and
+    hooks one lower; it is left to the caller, which reads it off the
+    first column.
+
+    The cores of n whose last part is 2 are those of n - 2 with a bottom
+    row of length 2 added.  That row adds two cells, (arm 1, leg 0) in
+    the first column and (arm 0, leg 0) in the second, and raises by one
+    the leg and the hook of every other cell in those two columns; no
+    other cell changes.  So, by ``_add_bottom_row``, the first column's
+    arm-leg and hook counts are shifted by one leg, the number of cores
+    of n - 2 is added to (1, 0), to hook 2 and to rows of length 2, and
+    the rest is kept.  Then the partitions of n with every part >= 3 are
+    tallied cell by cell, each once, from the walk
+    ``partitions.runs_of(n, 2)``, which steps through the cores of n
+    alone; those that end in 2 are skipped.
+
+    A partition is read as its runs, each a block of equal rows, from
+    the bottom up.  With ends[t] = mults[0] + ... + mults[t], run t is
+    rows ends[t-1] .. ends[t]-1 (0-based, ends[-1] = 0) of length
+    vals[t], and it adds columns vals[t+1] .. vals[t]-1, each holding
+    ends[t] cells, to the columns the runs below it reach; a per-n table
+    holds each column's share of the cell indices, shared by every
+    partition, and is read from the third column on.  In a block of m
+    rows of length L, column j holds one arm, L-1-j, and m consecutive
+    legs, so also m consecutive hooks.  The first column, and off it
+    every block of m >= 2 rows, adds 1 at the run's start and takes it
+    off past its end in an arm-leg and a hook difference array; off the
+    first column a block of one row adds its cells to the count tables
+    directly.  Once per n, the running sums of the difference arrays are
+    added into the count tables.
+
+    The latest three n are cached, so calls in ascending n, as
+    ``_carry`` makes them, cost one step each; a call below them starts
+    again from 0 or 1 (the recursion is n / 2 deep).  The result is never
+    mutated; each step copies.
     """
     width = n
-    # the tallies of n - 1 (none below 0), laid out at this width with
-    # the first column's legs and hooks one higher
-    first, rest = [0] * (width * width), [0] * (width * width)
-    first_hooks, rest_hooks, rows, count = [0], [0] * (width + 1), [0] * (width + 1), 0
-    if n > 0:
-        prev_first, prev_rest, prev_first_hooks, prev_rest_hooks, prev_rows, count = _carry(n - 1)
-        for arm in range(width - 1):
-            old = arm * (width - 1)
-            first[arm * width + 1 : arm * width + width] = prev_first[old : old + width - 1]
-            rest[arm * width : arm * width + width - 1] = prev_rest[old : old + width - 1]
-        first[0] += count
-        first_hooks += prev_first_hooks
-        first_hooks[1] += count
-        rest_hooks[:width] = prev_rest_hooks
-        rows[:width] = prev_rows
-        rows[1] += count
+    first, rest, first_hooks, rest_hooks, rows, count = _add_bottom_row(
+        _cores(n - 2) if n > 1 else None, 2, width
+    )
     # Difference arrays.  An off-first-column run's end mark may spill into
     # the next arm row's first entry, never past the last row: a block of
     # two or more rows of length L has L <= width / 2, so its marks stay
     # below L * width.  A first-column run's end mark, (L-1) * width +
-    # height, stays below width * width, for a core's height is at most
-    # width / 2.  A hook run's end mark may fall one past hook ``width``
-    # (the column of a single row), so those arrays are one entry longer
-    # than the hook counts.
+    # height, stays below width * width, for a partition with every part
+    # >= 3 has height at most width / 3.  A hook run's end mark may fall
+    # one past hook ``width`` (the column of a single row), so those
+    # arrays are one entry longer than the hook counts.
     first_runs, rest_runs = [0] * (width * width), [0] * (width * width)
     first_hook_runs, rest_hook_runs = [0] * (width + 2), [0] * (width + 2)
     # table[e][j]: column j's share of a cell's arm-leg index and of its
@@ -169,16 +205,16 @@ def _carry(n: int) -> tuple[list[int], list[int], list[int], list[int], list[int
     # then all reach column j, so the partition has at least e * (j + 1)
     # cells and j < n // e; table[0] is never read.
     table = [[]] + [[(e - j * width, e - j) for j in range(n // e)] for e in range(1, n + 1)]
-    for vals, mults in runs_of(n):
-        if vals and vals[-1] == 1:
+    for vals, mults in runs_of(n, 2):
+        if vals and vals[-1] == 2:
             continue
         count += 1
         height = sum(mults)
         # blocks bottom up: rows first .. last-1 all have length
-        # `length`; the columns below .. length-1 (from column 1) first
+        # `length`; the columns below .. length-1 (from column 2) first
         # appear here, and each holds `last` cells
         cols = []
-        below, last = 1, height
+        below, last = 2, height
         for length, mult in zip(reversed(vals), reversed(mults)):
             rows[length] += mult
             cols += table[last][below:length]
@@ -214,6 +250,49 @@ def _carry(n: int) -> tuple[list[int], list[int], list[int], list[int], list[int
     ):
         _add_runs(counts, runs)
     return first, rest, first_hooks, rest_hooks, rows, count
+
+
+@lru_cache(maxsize=1)
+def _carry(n: int) -> _Tallies:
+    """Every cell of every partition of n, tallied: the first column's
+    arm-leg and the other cells' (flattened, index arm * n + leg), the
+    first column's hook counts and the other cells', the row-length
+    counts, and p(n).  Carried from the tallies of n - 1, with the cores
+    of n added.
+
+    The partitions of n whose last part is 1 are those of n - 1 with a
+    bottom row of length 1 added.  That row adds one cell, arm 0, leg 0
+    and hook 1, and raises by one the leg and the hook of every other
+    cell in the first column; no other cell changes.  So, by
+    ``_add_bottom_row``, the first column's arm-leg and hook counts are
+    shifted by one leg, p(n - 1) is added to (0, 0), to hook 1 and to
+    rows of length 1, and the rest is kept.  The others are the cores of
+    n, the partitions with no part 1, tallied by ``_cores``: their first
+    column, their columns from the third on, and their second column,
+    which is the first one shifted down one arm and one hook, are added
+    in.  No partition is walked here.
+
+    Only the latest n is cached: calls in ascending n cost one step each,
+    and a call below it starts again from 0, one step per n (the
+    recursion is n deep).  The result is never mutated; each step copies.
+    """
+    width = n
+    first, rest, first_hooks, rest_hooks, rows, count = _add_bottom_row(
+        _carry(n - 1) if n else None, 1, width
+    )
+    core_first, core_rest, core_first_hooks, core_rest_hooks, core_rows, core_count = _cores(n)
+    # a core's second column: its first one, one arm and one hook lower
+    for counts, more in (
+        (first, core_first),
+        (rest, core_rest),
+        (rest, core_first[width:]),
+        (first_hooks, core_first_hooks),
+        (rest_hooks, core_rest_hooks),
+        (rest_hooks, core_first_hooks[1:]),
+        (rows, core_rows),
+    ):
+        counts[: len(more)] = map(add, counts, more)
+    return first, rest, first_hooks, rest_hooks, rows, count + core_count
 
 
 @lru_cache(maxsize=None)
