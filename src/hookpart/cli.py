@@ -4,7 +4,9 @@ Exit codes: 0 all checks passed (or output produced), 1 a verification
 failed (the discrepancy is printed), 2 usage error (every argument is
 checked before any work starts, including that --out names a file in an
 existing, writable directory), 3 internal error (an exception inside a
-verifier; one line on stderr, no traceback).
+verifier; one line on stderr, no traceback), 141 stdout closed by its
+reader before the output was all written (128 + SIGPIPE, as a shell
+reports a writer that SIGPIPE ends; nothing more is printed).
 Results go to stdout (or --out PATH); diagnostics go to stderr.
 """
 
@@ -65,12 +67,15 @@ CHAIN_MAX_ORDER = 2200
 # the same runs)
 SERIES_MAX_ORDER = 6000
 
-# theorem1, identity1, lemma and anatomy enumerate every partition of every
-# n <= --n-max, and multiset every partition of --n (arm-leg: of every
-# n <= --n), about 6x the cost per +10: at the limit, on one 2-core host,
-# four runs each, the slowest, `verify anatomy --c 0 --d 0`, takes 1.5-1.6 s,
-# `lemma` 0.25-0.3 s (arm-leg) and 0.45-0.5 s (arm-left), theorem1 and
-# identity1 0.25-0.4 s in every format, and `multiset` 0.1-0.3 s
+# theorem1, identity1, the arm-leg lemma and multiset tally the cells of
+# every n <= --n-max (or --n) by a recursion that walks no partition; the
+# arm-left lemma and multiset and anatomy enumerate every partition of
+# every n <= --n-max (multiset: of --n), about 6x the cost per +10.  At
+# the limit, in fresh processes on one 2-core host, four runs each, about
+# 0.1 s of it interpreter start: the slowest, `verify anatomy --c 0 --d 0`,
+# takes 1.8-2.2 s, `lemma` 0.21-0.25 s (arm-leg) and 0.53-0.63 s
+# (arm-left), theorem1 and identity1 0.17-0.26 s in every format, and
+# `multiset` 0.22-0.23 s (arm-leg) and 0.31-0.32 s (arm-left)
 ENUM_MAX_N = 45
 
 # `match` holds two ints for each of the n * p(n) cells of --n and writes
@@ -326,6 +331,9 @@ def _emit(pieces: Iterable[str], out_path: Optional[str]) -> None:
     with target as handle:
         handle.writelines(pieces)
         handle.write("\n")
+        # inside the command, so a closed stdout is reported by ``run``, not
+        # by the interpreter's flush at exit
+        handle.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +467,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except explorer.IdentityViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone; stdout points at the null device from here on,
+        # so the interpreter's final flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except Exception as exc:  # arguments are valid by now, so this is a bug
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR

@@ -46,9 +46,8 @@ def partitions_of(n: int) -> Iterator[tuple[int, ...]]:
         yield parts
 
 
-def runs_of(n: int, least: int = 1) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield every partition of ``n`` with no part below ``least``, exactly
-    once, largest-first, as runs.
+def runs_of(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield every partition of ``n`` exactly once, largest-first, as runs.
 
     The package's only partition walk: its order, descending lexicographic
     on the parts sequence, is the order ``partitions_of`` yields and every
@@ -63,56 +62,26 @@ def runs_of(n: int, least: int = 1) -> Iterator[tuple[list[int], list[int]]]:
     the run of 1s, take one part v off the last run, and push the freed
     weight back as (v-1) repeated q times and one remainder part r
     (Zoghbi and Stojmenovic's ZS1, in multiplicity form).
-
-    ``least`` is the smallest part allowed: 1, every partition, or 2, the
-    p(n) - p(n-1) partitions with no part 1, in the same order and with
-    no step through a partition with a part 1 (no other floor is taken).
-    With a floor of 2 a step drops the run of 2s instead, and a remainder
-    r = 1 is repacked with one of the parts v-1 as v-2 and 2 (one run of
-    two 2s when v-1 is 3).  When v is 3 the freed weight is odd and no
-    run of 2s can hold it, so the next part is freed too.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if least not in (1, 2):
-        raise ValueError(f"least must be 1 or 2, got {least}")
-    if 0 < n < least:
-        return
     vals, mults = ([n], [1]) if n else ([], [])
     step = (vals, mults)
     while True:
         yield step
         freed = 0
-        if vals and vals[-1] == least:
+        if vals and vals[-1] == 1:
             vals.pop()
-            freed = least * mults.pop()
-        while True:
-            if not vals:
-                return
-            v = vals[-1]
-            if mults[-1] == 1:
-                vals.pop()
-                mults.pop()
-            else:
-                mults[-1] -= 1
-            freed += v
-            # with a floor of 2, a freed 3 leaves an odd weight that no run
-            # of 2s holds: free the next part too
-            if least == 1 or v > 3 or not freed % 2:
-                break
-        q, r = divmod(freed, v - 1)
-        if r == 1 and least == 2:
-            # no part 1: one part v-1 and the 1 go back as v-2 and 2
-            if q > 1:
-                vals.append(v - 1)
-                mults.append(q - 1)
-            if v == 4:
-                vals.append(2)
-                mults.append(2)
-            else:
-                vals += (v - 2, 2)
-                mults += (1, 1)
-            continue
+            freed = mults.pop()
+        if not vals:
+            return
+        v = vals[-1]
+        if mults[-1] == 1:
+            vals.pop()
+            mults.pop()
+        else:
+            mults[-1] -= 1
+        q, r = divmod(freed + v, v - 1)
         vals.append(v - 1)
         mults.append(q)
         if r:

@@ -8,26 +8,22 @@ pairs through c+d+1 recovers the coarser statement that hook lengths and
 part lengths are equidistributed over the cells.
 
 Both multisets and the hook and part polynomials of every n come from
-one pass carried from n - 1 to n: the partitions of n are those of n - 1
-with a bottom row of length 1 added, which moves only the first column's
-legs and hooks, plus the cores of n, the partitions with no part 1.  The
-cores are carried one level deeper, from n - 2: those ending in 2 are the
-cores of n - 2 with a bottom row of length 2 added, which moves only the
-first two columns, the second being the first one arm shorter.  So the
-walk, ``partitions.runs_of(n, 2)`` as runs of equal parts, steps only
-through the cores, and only the partitions with every part >= 3 are
-tallied cell by cell: the cells of every n <= N cost one walk over p(N)
-partitions, no partition tuple and no conjugate built.  Arm-left and
-part are expanded from row-length counts.  A second row tally, run alone
-over every partition of n with no per-cell work, gives the arm-left
-multiset to ``build_pair_multiset`` and the lemma check.  Pair
+one recursion over part floors, with no partition walked.  Let T_k(n) be
+the cells of the partitions of n with every part >= k, tallied.  Those
+whose smallest part is k are the partitions of n - k with every part
+>= k, each with a bottom row of length k added, which moves only the
+first k columns; the others have every part >= k + 1.  So T_k(n) is
+T_k(n - k) with a row added plus T_{k+1}(n), and T_1(n) holds every cell
+of every partition of n, no partition tuple and no conjugate built.
+Arm-left and part are expanded from row-length counts.  A row tally,
+run alone over every partition of n with no per-cell work, gives the
+arm-left multiset to ``build_pair_multiset`` and the lemma check.  Pair
 multisets are sparse count maps, never flattened lists.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from operator import add
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -48,8 +44,9 @@ from hookpart.qseries import (
 PAIR_STATS = ("arm-leg", "arm-left")
 CELL_STATS = ("hook", "part")
 
-# first-column arm-leg, other arm-leg, first-column hooks, other hooks,
-# row lengths, count: the layout ``_carry`` documents
+# first-column arm-leg, arm-leg from column k on, first-column hooks,
+# hooks from column k on, row lengths, count: the layout ``_floors``
+# documents for floor k
 _Tallies = tuple[list[int], list[int], list[int], list[int], list[int], int]
 
 
@@ -91,7 +88,7 @@ def _row_sweep(n: int) -> PairMultiset:
 
     A row tally over every partition of n, a run of m rows of length v
     adding m to ``rows[v]`` at once: no partition tuple built, no cell
-    visited, and nothing shared with ``_carry``'s row counts, so the two
+    visited, and nothing shared with ``_floors``' row counts, so the two
     tallies check each other.  Read-only and shared, like ``_sweep``'s
     results.
     """
@@ -102,37 +99,27 @@ def _row_sweep(n: int) -> PairMultiset:
     return _expand_rows(rows)[0]
 
 
-def _add_runs(counts: list[int], runs: list[int]) -> None:
-    """Add the running sums of a difference array to cell counts, in place.
+def _add_bottom_row(tallies: _Tallies | None, length: int, n: int) -> _Tallies:
+    """T_k(n - k) with a bottom row of k = ``length`` added to each of its
+    partitions, laid out at weight n; no partitions when ``tallies`` is None.
 
-    In place, so a step's peak holds no third table per statistic; the
-    difference array may run past the end of the counts.
+    The new row spans columns 0 .. k-1 and raises by one the leg and the
+    hook of every cell in them; no other cell changes.  Of those columns
+    only the first is tallied: its arm-leg counts move one leg row down
+    and its hook counts one hook up, and its new cell (arm k - 1, leg 0,
+    hook k) and the new row are counted once per partition.
     """
-    counts[:] = map(add, counts, accumulate(runs))
-
-
-def _add_bottom_row(tallies: _Tallies | None, length: int, width: int) -> _Tallies:
-    """Tallies laid out like ``_carry``'s, of some partitions of
-    width - length, with a bottom row of ``length`` added to each and
-    laid out at ``width``; no partitions when ``tallies`` is None.
-
-    The new row raises by one the leg and the hook of every cell in the
-    columns it spans and changes no other cell.  Of those columns only
-    the first is tallied here: its arm-leg and hook counts are shifted by
-    one leg, and its new cell (arm length - 1, leg 0, hook length) and
-    the new row are counted once per partition.  A row of 2's second
-    column is left to ``_carry``, which reads it off the first.
-    """
-    first, rest = [0] * (width * width), [0] * (width * width)
-    first_hooks, rest_hooks, rows = [0] * (width + 1), [0] * (width + 1), [0] * (width + 1)
+    legs = n // length
+    first, rest = [0] * (legs * n), [0] * (legs * n)
+    first_hooks, rest_hooks, rows = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     if tallies is None:
         return first, rest, first_hooks, rest_hooks, rows, 0
     prev_first, prev_rest, prev_first_hooks, prev_rest_hooks, prev_rows, count = tallies
-    old = width - length
-    for arm in range(old):
-        first[arm * width + 1 : arm * width + old + 1] = prev_first[arm * old : arm * old + old]
-        rest[arm * width : arm * width + old] = prev_rest[arm * old : arm * old + old]
-    first[(length - 1) * width] += count
+    old = n - length
+    for leg in range(legs - 1):
+        first[(leg + 1) * n : (leg + 1) * n + old] = prev_first[leg * old : (leg + 1) * old]
+        rest[leg * n : leg * n + old] = prev_rest[leg * old : (leg + 1) * old]
+    first[length - 1] += count
     first_hooks[1 : old + 2] = prev_first_hooks
     first_hooks[length] += count
     rest_hooks[: old + 1] = prev_rest_hooks
@@ -141,172 +128,70 @@ def _add_bottom_row(tallies: _Tallies | None, length: int, width: int) -> _Talli
     return first, rest, first_hooks, rest_hooks, rows, count
 
 
-@lru_cache(maxsize=3)
-def _cores(n: int) -> _Tallies:
-    """Every cell of every core of n, tallied, a core being a partition
-    with no part 1: the first column's arm-leg (flattened, index
-    arm * n + leg) and the arm-leg of the columns from the third on, the
-    hook counts of the same two, the row-length counts, and the number
-    of cores.  Carried from the cores of n - 2.
+@lru_cache(maxsize=1)
+def _floors(n: int) -> tuple[tuple[_Tallies | None, ...], ...]:
+    """For each floor k = 1 .. n + 1, the last k states T_k(n - k + 1),
+    ..., T_k(n): the cells of the partitions of each weight with every
+    part >= k, tallied, or None where there is no such partition.
 
-    Every row of a core reaches the second column, so the second column
-    holds the first one's cells one arm shorter, with the same legs and
-    hooks one lower; it is left to the caller, which reads it off the
-    first column.
+    Columns are counted from 0.  A state of weight m at floor k holds the
+    first column's arm-leg counts and those of the columns from k on,
+    both flattened leg-major (index leg * m + arm) over the m // k leg
+    rows a partition with every part >= k can reach; the hook counts of
+    the same two; the row-length counts; and the number of partitions.
+    Every row reaches column k - 1, so each column j = 1 .. k-1 is the
+    first column j arms and j hooks lower, and is not held.
 
-    The cores of n whose last part is 2 are those of n - 2 with a bottom
-    row of length 2 added.  That row adds two cells, (arm 1, leg 0) in
-    the first column and (arm 0, leg 0) in the second, and raises by one
-    the leg and the hook of every other cell in those two columns; no
-    other cell changes.  So, by ``_add_bottom_row``, the first column's
-    arm-leg and hook counts are shifted by one leg, the number of cores
-    of n - 2 is added to (1, 0), to hook 2 and to rows of length 2, and
-    the rest is kept.  Then the partitions of n with every part >= 3 are
-    tallied cell by cell, each once, from the walk
-    ``partitions.runs_of(n, 2)``, which steps through the cores of n
-    alone; those that end in 2 are skipped.
+    T_k(n) is T_k(n - k) with a bottom row of k added, by
+    ``_add_bottom_row``, plus T_{k+1}(n), whose column k moves into the
+    counts from column k on as its first column k arms and k hooks
+    lower.  The floors are stepped from n - 1, top floor down, each
+    dropping its oldest state, T_k(n - k), once it is read, under a new
+    top floor n + 1.
 
-    A partition is read as its runs, each a block of equal rows, from
-    the bottom up.  With ends[t] = mults[0] + ... + mults[t], run t is
-    rows ends[t-1] .. ends[t]-1 (0-based, ends[-1] = 0) of length
-    vals[t], and it adds columns vals[t+1] .. vals[t]-1, each holding
-    ends[t] cells, to the columns the runs below it reach; a per-n table
-    holds each column's share of the cell indices, shared by every
-    partition, and is read from the third column on.  In a block of m
-    rows of length L, column j holds one arm, L-1-j, and m consecutive
-    legs, so also m consecutive hooks.  The first column, and off it
-    every block of m >= 2 rows, adds 1 at the run's start and takes it
-    off past its end in an arm-leg and a hook difference array; off the
-    first column a block of one row adds its cells to the count tables
-    directly.  Once per n, the running sums of the difference arrays are
-    added into the count tables.
-
-    The latest three n are cached, so calls in ascending n, as
-    ``_carry`` makes them, cost one step each; a call below them starts
-    again from 0 or 1 (the recursion is n / 2 deep).  The result is never
-    mutated; each step copies.
+    Only the latest n is cached: calls in ascending n cost one step
+    each, and a call below it starts again from 0 (the recursion is n
+    deep).  The states are never mutated; each step copies.
     """
-    width = n
-    first, rest, first_hooks, rest_hooks, rows, count = _add_bottom_row(
-        _cores(n - 2) if n > 1 else None, 2, width
-    )
-    # Difference arrays.  An off-first-column run's end mark may spill into
-    # the next arm row's first entry, never past the last row: a block of
-    # two or more rows of length L has L <= width / 2, so its marks stay
-    # below L * width.  A first-column run's end mark, (L-1) * width +
-    # height, stays below width * width, for a partition with every part
-    # >= 3 has height at most width / 3.  A hook run's end mark may fall
-    # one past hook ``width`` (the column of a single row), so those
-    # arrays are one entry longer than the hook counts.
-    first_runs, rest_runs = [0] * (width * width), [0] * (width * width)
-    first_hook_runs, rest_hook_runs = [0] * (width + 2), [0] * (width + 2)
-    # table[e][j]: column j's share of a cell's arm-leg index and of its
-    # hook when the column holds e cells (conj[j] = e).  Rows 0 .. e-1
-    # then all reach column j, so the partition has at least e * (j + 1)
-    # cells and j < n // e; table[0] is never read.
-    table = [[]] + [[(e - j * width, e - j) for j in range(n // e)] for e in range(1, n + 1)]
-    for vals, mults in runs_of(n, 2):
-        if vals and vals[-1] == 2:
-            continue
-        count += 1
-        height = sum(mults)
-        # blocks bottom up: rows first .. last-1 all have length
-        # `length`; the columns below .. length-1 (from column 2) first
-        # appear here, and each holds `last` cells
-        cols = []
-        below, last = 2, height
-        for length, mult in zip(reversed(vals), reversed(mults)):
-            rows[length] += mult
-            cols += table[last][below:length]
-            below, first_row = length, last - mult
-            base = (length - 1) * width
-            # first column: arm = length-1, legs height-last .. height-first_row-1
-            first_runs[base + height - last] += 1
-            first_runs[base + height - first_row] -= 1
-            first_hook_runs[length + height - last] += 1
-            first_hook_runs[length + height - first_row] -= 1
-            if mult == 1:
-                # cell j: arm = length-1-j, leg = conj[j]-last
-                base -= last
-                hook_base = length - last
-                for arm_leg_col, hook_col in cols:
-                    rest[base + arm_leg_col] += 1
-                    rest_hooks[hook_base + hook_col] += 1
-            else:
-                # column j: arm = length-1-j, legs conj[j]-last .. conj[j]-first_row-1
-                start, stop = base - last, base - first_row
-                hook_start, hook_stop = length - last, length - first_row
-                for arm_leg_col, hook_col in cols:
-                    rest_runs[start + arm_leg_col] += 1
-                    rest_runs[stop + arm_leg_col] -= 1
-                    rest_hook_runs[hook_start + hook_col] += 1
-                    rest_hook_runs[hook_stop + hook_col] -= 1
-            last = first_row
-    for counts, runs in (
-        (first, first_runs),
-        (rest, rest_runs),
-        (first_hooks, first_hook_runs),
-        (rest_hooks, rest_hook_runs),
-    ):
-        _add_runs(counts, runs)
-    return first, rest, first_hooks, rest_hooks, rows, count
+    below = _floors(n - 1) if n else ()
+    # floor n + 1: T_{n+1}(0), the partition of 0 with no cell, then none
+    floors = [(([], [], [0], [0], [0], 1),) + (None,) * n]
+    upper = None
+    for k in range(n, 0, -1):
+        states = below[k - 1]
+        first, rest, first_hooks, rest_hooks, rows, count = _add_bottom_row(states[0], k, n)
+        if upper is not None:
+            up_first, up_rest, up_first_hooks, up_rest_hooks, up_rows, up_count = upper
+            for counts, more in (
+                (first, up_first),
+                (rest, up_rest),
+                (rest, up_first[k:]),
+                (first_hooks, up_first_hooks),
+                (rest_hooks, up_rest_hooks),
+                (rest_hooks, up_first_hooks[k:]),
+                (rows, up_rows),
+            ):
+                counts[: len(more)] = map(add, counts, more)
+            count += up_count
+        upper = first, rest, first_hooks, rest_hooks, rows, count
+        floors.append(states[1:] + (upper,))
+    return tuple(reversed(floors))
 
 
 @lru_cache(maxsize=1)
-def _carry(n: int) -> _Tallies:
-    """Every cell of every partition of n, tallied: the first column's
-    arm-leg and the other cells' (flattened, index arm * n + leg), the
-    first column's hook counts and the other cells', the row-length
-    counts, and p(n).  Carried from the tallies of n - 1, with the cores
-    of n added.
-
-    The partitions of n whose last part is 1 are those of n - 1 with a
-    bottom row of length 1 added.  That row adds one cell, arm 0, leg 0
-    and hook 1, and raises by one the leg and the hook of every other
-    cell in the first column; no other cell changes.  So, by
-    ``_add_bottom_row``, the first column's arm-leg and hook counts are
-    shifted by one leg, p(n - 1) is added to (0, 0), to hook 1 and to
-    rows of length 1, and the rest is kept.  The others are the cores of
-    n, the partitions with no part 1, tallied by ``_cores``: their first
-    column, their columns from the third on, and their second column,
-    which is the first one shifted down one arm and one hook, are added
-    in.  No partition is walked here.
-
-    Only the latest n is cached: calls in ascending n cost one step each,
-    and a call below it starts again from 0, one step per n (the
-    recursion is n deep).  The result is never mutated; each step copies.
-    """
-    width = n
-    first, rest, first_hooks, rest_hooks, rows, count = _add_bottom_row(
-        _carry(n - 1) if n else None, 1, width
-    )
-    core_first, core_rest, core_first_hooks, core_rest_hooks, core_rows, core_count = _cores(n)
-    # a core's second column: its first one, one arm and one hook lower
-    for counts, more in (
-        (first, core_first),
-        (rest, core_rest),
-        (rest, core_first[width:]),
-        (first_hooks, core_first_hooks),
-        (rest_hooks, core_rest_hooks),
-        (rest_hooks, core_first_hooks[1:]),
-        (rows, core_rows),
-    ):
-        counts[: len(more)] = map(add, counts, more)
-    return first, rest, first_hooks, rest_hooks, rows, count + core_count
-
-
-@lru_cache(maxsize=None)
 def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mapping[int, int]]:
     """Arm-leg and arm-left multisets, hook and part polynomials of n.
 
-    Read off ``_carry(n)``: arm-leg and hook add the first column's
-    counts to the other cells', and arm-left and part are expanded from
-    the row-length counts by ``_expand_rows``.  No partition tuple and no
-    conjugate is built.  All four results are read-only: callers share
-    these cached objects.
+    Read off T_1(n), the last state of ``_floors(n)``'s first floor:
+    arm-leg and hook add the first column's counts to the other cells',
+    and arm-left and part are expanded from the row-length counts by
+    ``_expand_rows``.  No partition tuple and no conjugate is built.
+    Only the latest n is cached.  All four results are read-only:
+    callers share these cached objects.
     """
-    first, rest, first_hooks, rest_hooks, rows, _ = _carry(n)
-    arm_leg = {divmod(idx, n): cnt for idx, cnt in enumerate(map(add, first, rest)) if cnt}
+    first, rest, first_hooks, rest_hooks, rows, _ = _floors(n)[0][-1]
+    cells = list(map(add, first, rest))
+    arm_leg = {(arm, leg): cnt for arm in range(n) for leg, cnt in enumerate(cells[arm::n]) if cnt}
     hooks = {e: cnt for e, cnt in enumerate(map(add, first_hooks, rest_hooks)) if cnt}
     arm_left, part_poly = _expand_rows(rows)
     return (

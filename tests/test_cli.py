@@ -664,3 +664,33 @@ def test_module_entry_point_exits_with_run_code(capsys):
     )
     assert usage.returncode == 2 and usage.stdout == ""
     assert "--n-max" in usage.stderr
+
+
+@pytest.mark.parametrize(
+    "argv,header",
+    [
+        # larger than a pipe's buffer: the writer meets the closed pipe
+        (["match", "--n", "20", "--format", "csv"], b"src_partition,src_row,src_col,dst_partition"),
+        # small enough to sit in stdout's buffer until the process ends
+        (["series", "euler-inv", "--trunc", "5"], None),
+    ],
+    ids=["match", "series"],
+)
+def test_closed_stdout_exits_141_quietly(argv, header):
+    # a reader that stops early, like `| head -1`, is no internal error
+    src = os.path.dirname(os.path.dirname(hookpart.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    with subprocess.Popen(
+        [sys.executable, "-m", "hookpart", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        if header:
+            assert proc.stdout.readline().startswith(header)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait()
+    assert (code, stderr) == (141, b"")

@@ -93,34 +93,6 @@ def test_runs_negative_rejected():
         list(runs_of(-1))
 
 
-@pytest.mark.parametrize("n", range(31))
-def test_runs_with_floor_2_are_those_with_no_part_1(n):
-    # snapshots: the walk updates one pair of lists in place
-    floored = [(list(v), list(m)) for v, m in runs_of(n, 2)]
-    assert floored == [(list(v), list(m)) for v, m in runs_of(n) if not v or v[-1] != 1]
-
-
-@pytest.mark.parametrize("n", range(1, 61))
-def test_runs_with_floor_2_count(n):
-    assert sum(1 for _ in runs_of(n, 2)) == count_partitions(n) - count_partitions(n - 1)
-
-
-def test_runs_with_floor_2_goldens():
-    assert list(runs_of(1, 2)) == []
-    assert [(list(v), list(m)) for v, m in runs_of(0, 2)] == [([], [])]
-    # 7 frees a 3 with an odd weight (3, 2, 2 is last); 9 repacks 4 + 1 as 3, 2
-    assert [expand_runs(*step) for step in runs_of(7, 2)] == [(7,), (5, 2), (4, 3), (3, 2, 2)]
-    assert [expand_runs(*step) for step in runs_of(9, 2)] == [
-        (9,), (7, 2), (6, 3), (5, 4), (5, 2, 2), (4, 3, 2), (3, 3, 3), (3, 2, 2, 2)
-    ]
-
-
-@pytest.mark.parametrize("least", [0, 3, -1])
-def test_runs_floor_outside_1_2_rejected(least):
-    with pytest.raises(ValueError):
-        list(runs_of(5, least))
-
-
 def test_count_partitions_goldens():
     assert count_partitions(0) == 1
     assert count_partitions(5) == len(list(partitions_of(5))) == 7

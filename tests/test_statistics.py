@@ -1,3 +1,4 @@
+import functools
 from types import MappingProxyType
 
 import pytest
@@ -167,12 +168,12 @@ def enumerations(monkeypatch):
     """Record each n that ``statistics`` enumerates, from cold caches."""
     calls = []
 
-    def counting(n, least=1):
+    def counting(n):
         calls.append(n)
-        return runs_of(n, least)
+        return runs_of(n)
 
     monkeypatch.setattr(statistics, "runs_of", counting)
-    caches = (statistics._sweep, statistics._carry, statistics._cores, statistics._row_sweep)
+    caches = (statistics._sweep, statistics._floors, statistics._row_sweep)
     for cached in caches:
         cached.cache_clear()
     yield calls
@@ -180,14 +181,15 @@ def enumerations(monkeypatch):
         cached.cache_clear()
 
 
-def test_each_n_enumerated_once(enumerations):
+def test_sweep_walks_no_partition(enumerations):
     assert verify_theorem1(12).passed
     assert verify_identity1(12).passed
     assert stat_polynomial(12, "hook") == slow_stat_poly(12, "hook")
     assert stat_polynomial(12, "part") == slow_stat_poly(12, "part")
     assert build_pair_multiset(12, "arm-leg").total == 12 * count_partitions(12)
-    # the carried pass walks each n up to 12 once, ascending
-    assert enumerations == list(range(13))
+    assert swept(12) == cells_tally(12)
+    # every cell comes from the floor recursion
+    assert enumerations == []
 
 
 def test_arm_left_reads_rows_only(enumerations, monkeypatch):
@@ -255,84 +257,78 @@ def swept(n):
     return dict(arm_leg.counts), dict(arm_left.counts), dict(hook_poly), dict(part_poly)
 
 
-# most partitions of n come carried from n - 1 and most cores from n - 2:
-# of the 1575 of 24, 1255 have a part 1 and 210 of the other 320 a part
-# 2, leaving 110 tallied cell by cell; of the 5604 of 30, 4565, 708 of
-# 1039, and 331
 @pytest.mark.parametrize("n", [24, 30])
 def test_sweep_matches_cells_tally(n):
     assert swept(n) == cells_tally(n)
 
 
 def test_sweep_out_of_order_matches_cells_tally(enumerations):
-    # only the carried n is kept: a call below it starts again from 0, and
-    # one above it steps on from it
+    # only the latest n is kept: a call below it starts again from 0, and
+    # one above it steps on from it; none walks a partition
     for n in (24, 9, 30, 24):
         statistics._sweep.cache_clear()
         assert swept(n) == cells_tally(n), n
-    assert enumerations == [*range(25), *range(10), *range(10, 31), *range(25)]
+    assert enumerations == []
 
 
-def cell_stats_cores(n):
-    """The partitions of n with no part 1, tallied by the literal per-cell
-    definition as ``statistics._cores`` lays them out: the first column's
-    arm-leg and hooks, the same from the third column on, the row lengths
-    and the count.  Also checks that the second column is the first one,
-    one arm and one hook lower."""
-    first, rest, first_hooks, rest_hooks, rows = {}, {}, {}, {}, {}
-    second, second_hooks, count = {}, {}, 0
-    by_column = {1: (first, first_hooks), 2: (second, second_hooks)}
-    for parts in partitions_of(n):
-        if parts and parts[-1] == 1:
+@functools.cache
+def cell_stats_floor(m, k):
+    """The partitions of m with every part >= k, tallied by the literal
+    per-cell definition as ``statistics._floors`` lays them out: the
+    first column's arm-leg and hooks, the same from column k on (columns
+    counted from 0), the row lengths and the count.  Also checks that
+    each column j = 1 .. k-1 is the first one, j arms and j hooks lower."""
+    first, rest, first_hooks, rest_hooks, rows, count = {}, {}, {}, {}, {}, 0
+    between = {j: ({}, {}) for j in range(1, k)}
+    for parts in partitions_of(m):
+        if parts and parts[-1] < k:
             continue
         count += 1
         for row, length in enumerate(parts, 1):
             rows[length] = rows.get(length, 0) + 1
             for col in range(1, length + 1):
                 stats = cell_stats(parts, (row, col))
-                arm_legs, hooks = by_column.get(col, (rest, rest_hooks))
+                column = col - 1
+                arm_legs, hooks = (
+                    (first, first_hooks) if column == 0
+                    else (rest, rest_hooks) if column >= k
+                    else between[column]
+                )
                 key = (stats.arm, stats.leg)
                 arm_legs[key] = arm_legs.get(key, 0) + 1
                 hooks[stats.hook] = hooks.get(stats.hook, 0) + 1
-    assert second == {(arm - 1, leg): cnt for (arm, leg), cnt in first.items()}
-    assert second_hooks == {hook - 1: cnt for hook, cnt in first_hooks.items()}
+    for j, (arm_legs, hooks) in between.items():
+        assert arm_legs == {(arm - j, leg): cnt for (arm, leg), cnt in first.items()}
+        assert hooks == {hook - j: cnt for hook, cnt in first_hooks.items()}
     return first, rest, first_hooks, rest_hooks, rows, count
 
 
 def nonzero(counts, width=None):
     """A count list as a dict of its nonzero entries, an arm-leg list's
-    flattened index decoded as (arm, leg)."""
+    leg-major flattened index decoded as (arm, leg)."""
     return {
-        (divmod(idx, width) if width else idx): cnt for idx, cnt in enumerate(counts) if cnt
+        (divmod(idx, width)[::-1] if width else idx): cnt for idx, cnt in enumerate(counts) if cnt
     }
 
 
-@pytest.mark.parametrize("n", range(19))
-def test_cores_match_cell_stats(n):
-    first, rest, first_hooks, rest_hooks, rows, count = statistics._cores(n)
-    assert len(first) == len(rest) == n * n
-    assert len(first_hooks) == len(rest_hooks) == len(rows) == n + 1
-    assert (
-        nonzero(first, n), nonzero(rest, n), nonzero(first_hooks), nonzero(rest_hooks),
-        nonzero(rows), count,
-    ) == cell_stats_cores(n)
-
-
-def test_carried_pass_steps_through_cores_only(enumerations, monkeypatch):
-    floors = []
-    counting = statistics.runs_of
-
-    def stepping(n, least=1):
-        for step in counting(n, least):
-            floors.append(least)
-            yield step
-
-    monkeypatch.setattr(statistics, "runs_of", stepping)
-    assert swept(12) == cells_tally(12)
-    # one walk per n, through the p(n) - p(n-1) partitions of n with no
-    # part 1: p(12) steps in all
-    assert enumerations == list(range(13))
-    assert floors == [2] * count_partitions(12) == [2] * 77
+@pytest.mark.parametrize("m", range(19))
+def test_floors_match_cell_stats(m):
+    floors = statistics._floors(m)
+    assert len(floors) == m + 1
+    for k, states in enumerate(floors, 1):
+        # floor k holds weights m - k + 1 .. m
+        assert len(states) == k
+        for weight, state in zip(range(m - k + 1, m + 1), states):
+            if state is None:
+                assert 0 < weight < k and cell_stats_floor(weight, k)[-1] == 0
+                continue
+            first, rest, first_hooks, rest_hooks, rows, count = state
+            assert len(first) == len(rest) == (weight // k) * weight
+            assert len(first_hooks) == len(rest_hooks) == len(rows) == weight + 1
+            assert (
+                nonzero(first, weight), nonzero(rest, weight), nonzero(first_hooks),
+                nonzero(rest_hooks), nonzero(rows), count,
+            ) == cell_stats_floor(weight, k), (weight, k)
 
 
 @pytest.mark.parametrize("n", range(26))
