@@ -167,6 +167,8 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
     Each series is built to order n_max only, whatever ``order`` is.
     """
     _check_corner_args(c, d, 0, 0)
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if n_max > order:
         raise ValueError(f"n_max ({n_max}) must not exceed the series order ({order})")
     context = f"anatomy(c={c}, d={d}, n_max={n_max})"

@@ -67,15 +67,14 @@ CHAIN_MAX_ORDER = 2200
 # the same runs)
 SERIES_MAX_ORDER = 6000
 
-# theorem1, identity1, the arm-leg lemma and multiset tally the cells of
-# every n <= --n-max (or --n) by a recursion that walks no partition; the
-# arm-left lemma and multiset and anatomy enumerate every partition of
-# every n <= --n-max (multiset: of --n), about 6x the cost per +10.  At
-# the limit, in fresh processes on one 2-core host, four runs each, about
-# 0.1 s of it interpreter start: the slowest, `verify anatomy --c 0 --d 0`,
-# takes 1.8-2.2 s, `lemma` 0.21-0.25 s (arm-leg) and 0.53-0.63 s
-# (arm-left), theorem1 and identity1 0.17-0.26 s in every format, and
-# `multiset` 0.22-0.23 s (arm-leg) and 0.31-0.32 s (arm-left)
+# theorem1, identity1, lemma and multiset tally the cells of every
+# n <= --n-max (or --n) by a recursion that walks no partition; anatomy
+# enumerates every partition of every n <= --n-max, about 6x the cost per
+# +10.  At the limit, in fresh processes on one 2-core host, four runs
+# each, about 0.1 s of it interpreter start: the slowest, `verify anatomy
+# --c 0 --d 0`, takes 1.6-2.7 s, `lemma` 0.13-0.23 s (either stat),
+# theorem1 and identity1 0.12-0.20 s in every format, and `multiset`
+# 0.10-0.16 s (either stat)
 ENUM_MAX_N = 45
 
 # `match` holds two ints for each of the n * p(n) cells of --n and writes

@@ -15,9 +15,8 @@ whose smallest part is k are the partitions of n - k with every part
 first k columns; the others have every part >= k + 1.  So T_k(n) is
 T_k(n - k) with a row added plus T_{k+1}(n), and T_1(n) holds every cell
 of every partition of n, no partition tuple and no conjugate built.
-Arm-left and part are expanded from row-length counts.  A row tally,
-run alone over every partition of n with no per-cell work, gives the
-arm-left multiset to ``build_pair_multiset`` and the lemma check.  Pair
+Arm-left and part are expanded from row-length counts: every multiset,
+polynomial, count and lemma check here reads this one recursion.  Pair
 multisets are sparse count maps, never flattened lists.
 """
 
@@ -67,36 +66,6 @@ class PairMultiset(NamedTuple):
 def _check_pair_stat(stat: str) -> None:
     if stat not in PAIR_STATS:
         raise ValueError(f"stat must be one of {PAIR_STATS}, got {stat!r}")
-
-
-def _expand_rows(rows: list[int]) -> tuple[PairMultiset, Mapping[int, int]]:
-    """Arm-left multiset and part polynomial from row-length counts.
-
-    A row of length L holds exactly the cells (arm, left) = (L-1-j, j),
-    j < L, each of part L, so both follow from the counts in O(n^2).
-    """
-    left_pairs = {(L - 1 - j, j): cnt for L, cnt in enumerate(rows) if cnt for j in range(L)}
-    return (
-        PairMultiset(counts=MappingProxyType(left_pairs)),
-        MappingProxyType({L: L * cnt for L, cnt in enumerate(rows) if cnt}),
-    )
-
-
-@lru_cache(maxsize=None)
-def _row_sweep(n: int) -> PairMultiset:
-    """The arm-left multiset of n from row lengths alone.
-
-    A row tally over every partition of n, a run of m rows of length v
-    adding m to ``rows[v]`` at once: no partition tuple built, no cell
-    visited, and nothing shared with ``_floors``' row counts, so the two
-    tallies check each other.  Read-only and shared, like ``_sweep``'s
-    results.
-    """
-    rows = [0] * (n + 1)
-    for vals, mults in runs_of(n):
-        for length, mult in zip(vals, mults):
-            rows[length] += mult
-    return _expand_rows(rows)[0]
 
 
 def _add_bottom_row(tallies: _Tallies | None, length: int, n: int) -> _Tallies:
@@ -183,22 +152,25 @@ def _sweep(n: int) -> tuple[PairMultiset, PairMultiset, Mapping[int, int], Mappi
     """Arm-leg and arm-left multisets, hook and part polynomials of n.
 
     Read off T_1(n), the last state of ``_floors(n)``'s first floor:
-    arm-leg and hook add the first column's counts to the other cells',
-    and arm-left and part are expanded from the row-length counts by
-    ``_expand_rows``.  No partition tuple and no conjugate is built.
-    Only the latest n is cached.  All four results are read-only:
-    callers share these cached objects.
+    arm-leg and hook add the first column's counts to the other cells'.
+    A row of length L holds exactly the cells (arm, left) = (L-1-j, j),
+    j < L, each of part L, so arm-left and part are expanded from the
+    row-length counts in O(n^2).  No partition tuple and no conjugate is
+    built.  Only the latest n is cached.  All four results are
+    read-only: callers share these cached objects.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     first, rest, first_hooks, rest_hooks, rows, _ = _floors(n)[0][-1]
     cells = list(map(add, first, rest))
     arm_leg = {(arm, leg): cnt for arm in range(n) for leg, cnt in enumerate(cells[arm::n]) if cnt}
     hooks = {e: cnt for e, cnt in enumerate(map(add, first_hooks, rest_hooks)) if cnt}
-    arm_left, part_poly = _expand_rows(rows)
+    arm_left = {(L - 1 - j, j): cnt for L, cnt in enumerate(rows) if cnt for j in range(L)}
     return (
         PairMultiset(counts=MappingProxyType(arm_leg)),
-        arm_left,
+        PairMultiset(counts=MappingProxyType(arm_left)),
         MappingProxyType(hooks),
-        part_poly,
+        MappingProxyType({L: L * cnt for L, cnt in enumerate(rows) if cnt}),
     )
 
 
@@ -206,13 +178,11 @@ def build_pair_multiset(n: int, stat: str) -> PairMultiset:
     """The multiset of (arm, leg) or (arm, left) pairs over all cells of
     all partitions of n.
 
-    ``stat`` selects the filling: "arm-leg" or "arm-left".  Arm-left
-    reads the row-only tally; arm-leg, the full sweep.
+    ``stat`` selects the filling: "arm-leg" or "arm-left".  Both are
+    read off ``_sweep``, one part-floor recursion for every n.
     """
     _check_pair_stat(stat)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    return _sweep(n)[0] if stat == "arm-leg" else _row_sweep(n)
+    return _sweep(n)[0 if stat == "arm-leg" else 1]
 
 
 def verify_theorem1(n: int) -> VerifyReport:
@@ -233,8 +203,6 @@ def stat_polynomial(n: int, stat: str) -> dict[int, int]:
     """
     if stat not in CELL_STATS:
         raise ValueError(f"stat must be one of {CELL_STATS}, got {stat!r}")
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     return dict(_sweep(n)[2 if stat == "hook" else 3])
 
 
@@ -281,6 +249,8 @@ def verify_lemma(c: int, d: int, stat: str, n_max: int, order: int) -> VerifyRep
     which is built to order n_max only, whatever ``order`` is.
     """
     _check_pair_stat(stat)
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if n_max > order:
         raise ValueError(f"n_max ({n_max}) must not exceed the series order ({order})")
     context = f"lemma(c={c}, d={d}, stat={stat}, n_max={n_max})"
@@ -328,7 +298,7 @@ def verify_fact4(m: int, order: int) -> VerifyReport:
     (reported as ``parts<=m``), and by transposition the same number must
     count partitions with at most m parts (``conjugate``).  The first
     check runs over every n before the second.  The enumeration reads
-    ``partitions.runs_of``'s runs, with no tuple built: the largest part
+    the partition walker's runs, with no tuple built: the largest part
     is ``vals[0]`` and the number of parts ``sum(mults)``.
     """
     if m < 0:

@@ -437,12 +437,21 @@ def test_output_identical_across_jobs(capsys, monkeypatch):
             assert serial == parallel, (check, fmt)
 
 
-@pytest.mark.parametrize("check", ["theorem1", "identity1"])
-def test_full_scale_output_matches_benchmark_digest(capsys, check):
-    # the benchmark records the --jobs 2 output; --jobs 1 must print the same bytes
-    digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
-    recorded = digests[f"verify {check} --n-max 40 --jobs 2"]
-    code, out, _ = invoke(capsys, "verify", check, "--n-max", "40", "--jobs", "1")
+# the stdout digests of every command the benchmark runs, keyed by its argv
+DIGESTS = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "key",
+    sorted(key for key in DIGESTS if key.startswith("verify ")),
+    # the acceptance-scale sweeps keep their short ids
+    ids=lambda key: key.removeprefix("verify ").removesuffix(" --n-max 40 --jobs 2"),
+)
+def test_full_scale_output_matches_benchmark_digest(capsys, key):
+    # every verify command the benchmark runs; it records the --jobs 2
+    # output, and --jobs 1 must print the same bytes
+    recorded = DIGESTS[key]
+    code, out, _ = invoke(capsys, *key.replace("--jobs 2", "--jobs 1").split())
     assert code == 0
     stdout = out.encode()
     assert len(stdout) == recorded["bytes"]
@@ -452,8 +461,7 @@ def test_full_scale_output_matches_benchmark_digest(capsys, check):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_match_full_scale_output_matches_benchmark_digest(capsys, tmp_path, fmt):
     # stdout and --out both carry the bytes the benchmark records for n = 30
-    digests = json.loads((Path(__file__).parents[1] / "perfbench" / "digests.json").read_text())
-    recorded = digests[f"match --n 30 --format {fmt}"]
+    recorded = DIGESTS[f"match --n 30 --format {fmt}"]
     code, out, _ = invoke(capsys, "match", "--n", "30", "--format", fmt)
     assert code == 0
     path = tmp_path / f"match.{fmt}"

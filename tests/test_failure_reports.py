@@ -36,16 +36,6 @@ def perturb_sweep(monkeypatch, n, index, key, delta):
     monkeypatch.setattr(statistics, "_sweep", perturbed)
 
 
-def perturb_rows(monkeypatch, n, key, delta):
-    """The same for the row-only arm-left tally ``statistics._row_sweep(n)``."""
-    original = statistics._row_sweep
-
-    def perturbed(m):
-        return shifted(original(m), key, delta) if m == n else original(m)
-
-    monkeypatch.setattr(statistics, "_row_sweep", perturbed)
-
-
 def assert_failure(report, context, where, expected, actual):
     assert not report.passed
     assert report.context == context
@@ -84,7 +74,7 @@ def test_identity1_part_from_arm_left_report(monkeypatch):
 
 
 def test_lemma_report(monkeypatch):
-    perturb_rows(monkeypatch, 5, (1, 0), 3)
+    perturb_sweep(monkeypatch, 5, ARM_LEFT, (1, 0), 3)
     report = statistics.verify_lemma(1, 0, "arm-left", 8, 10)
     assert_failure(report, "lemma(c=1, d=0, stat=arm-left, n_max=8)", 5, 4, 7)
 

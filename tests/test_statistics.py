@@ -3,7 +3,7 @@ from types import MappingProxyType
 
 import pytest
 
-from hookpart import qseries, statistics
+from hookpart import anatomy, qseries, statistics
 from hookpart.partitions import (
     cell_stats,
     cells,
@@ -163,6 +163,24 @@ def test_stat_polynomial_rejects_bad_stat():
         stat_polynomial(3, "arm-leg")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        verify_theorem1,
+        verify_identity1,
+        functools.partial(build_pair_multiset, stat="arm-leg"),
+        functools.partial(build_pair_multiset, stat="arm-left"),
+        functools.partial(stat_polynomial, stat="hook"),
+        functools.partial(count_pair, c=0, d=0, stat="arm-left"),
+    ],
+    ids=["theorem1", "identity1", "arm-leg", "arm-left", "stat_polynomial", "count_pair"],
+)
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_n_rejected_by_name(call, n):
+    with pytest.raises(ValueError, match=f"^n must be nonnegative, got {n}$"):
+        call(n)
+
+
 @pytest.fixture
 def enumerations(monkeypatch):
     """Record each n that ``statistics`` enumerates, from cold caches."""
@@ -173,7 +191,7 @@ def enumerations(monkeypatch):
         return runs_of(n)
 
     monkeypatch.setattr(statistics, "runs_of", counting)
-    caches = (statistics._sweep, statistics._floors, statistics._row_sweep)
+    caches = (statistics._sweep, statistics._floors)
     for cached in caches:
         cached.cache_clear()
     yield calls
@@ -187,21 +205,11 @@ def test_sweep_walks_no_partition(enumerations):
     assert stat_polynomial(12, "hook") == slow_stat_poly(12, "hook")
     assert stat_polynomial(12, "part") == slow_stat_poly(12, "part")
     assert build_pair_multiset(12, "arm-leg").total == 12 * count_partitions(12)
+    assert build_pair_multiset(12, "arm-left").total == 12 * count_partitions(12)
+    assert count_pair(12, 3, 2, "arm-left") == slow_pair_counts(12, "arm-left")[(3, 2)]
     assert swept(12) == cells_tally(12)
-    # every cell comes from the floor recursion
+    # every cell and every row comes from the floor recursion
     assert enumerations == []
-
-
-def test_arm_left_reads_rows_only(enumerations, monkeypatch):
-    def no_sweep(n):
-        raise AssertionError("the arm-left tally ran the full sweep")
-
-    # undone before the fixture's teardown clears the real sweep's cache
-    with monkeypatch.context() as patch:
-        patch.setattr(statistics, "_sweep", no_sweep)
-        assert build_pair_multiset(12, "arm-left").total == 12 * count_partitions(12)
-        assert count_pair(12, 3, 2, "arm-left") == slow_pair_counts(12, "arm-left")[(3, 2)]
-    assert enumerations == [12]
 
 
 def cell_stats_arm_left(n):
@@ -363,6 +371,19 @@ def test_verify_lemma_goldens():
 def test_verify_lemma_rejects_bad_range():
     with pytest.raises(ValueError):
         verify_lemma(2, 2, "arm-leg", 50, 40)
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [
+        functools.partial(verify_lemma, 0, 0, "arm-left", order=5),
+        functools.partial(anatomy.verify_anatomy, 0, 0, order=5),
+    ],
+    ids=["lemma", "anatomy"],
+)
+def test_negative_n_max_rejected_by_name(verify):
+    with pytest.raises(ValueError, match="^n_max must be nonnegative, got -1$"):
+        verify(-1)
 
 
 @pytest.mark.parametrize("stat", ["arm-leg", "arm-left"])
