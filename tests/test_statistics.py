@@ -205,10 +205,15 @@ def test_sweep_walks_no_partition(enumerations):
     assert stat_polynomial(12, "hook") == slow_stat_poly(12, "hook")
     assert stat_polynomial(12, "part") == slow_stat_poly(12, "part")
     assert build_pair_multiset(12, "arm-leg").total == 12 * count_partitions(12)
+    assert swept(12) == cells_tally(12)
+    # every cell comes from the floor recursion
+    assert enumerations == []
+
+
+def test_arm_left_reads_rows_only(enumerations):
     assert build_pair_multiset(12, "arm-left").total == 12 * count_partitions(12)
     assert count_pair(12, 3, 2, "arm-left") == slow_pair_counts(12, "arm-left")[(3, 2)]
-    assert swept(12) == cells_tally(12)
-    # every cell and every row comes from the floor recursion
+    # every row comes from the floor recursion
     assert enumerations == []
 
 
