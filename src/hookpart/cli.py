@@ -18,7 +18,8 @@ import io
 import math
 import os
 import sys
-from itertools import repeat
+from itertools import chain, repeat
+from operator import floordiv, itemgetter
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from hookpart import anatomy, explorer, qseries, statistics
@@ -71,15 +72,16 @@ SERIES_MAX_ORDER = 6000
 # n <= --n-max (or --n) by a recursion that walks no partition; anatomy
 # enumerates every partition of every n <= --n-max, about 6x the cost per
 # +10.  At the limit, in fresh processes on one 2-core host, four runs
-# each, about 0.1 s of it interpreter start: the slowest, `verify anatomy
-# --c 0 --d 0`, takes 1.6-2.7 s, `lemma` 0.13-0.23 s (either stat),
-# theorem1 and identity1 0.12-0.20 s in every format, and `multiset`
-# 0.10-0.16 s (either stat)
+# each, about 0.07-0.1 s of it interpreter start: the slowest, `verify
+# anatomy --c 0 --d 0`, takes 1.2 s, `lemma` 0.09-0.11 s (either stat),
+# theorem1 and identity1 0.09-0.10 s in every format, and `multiset`
+# 0.08-0.09 s (either stat)
 ENUM_MAX_N = 45
 
 # `match` holds two ints for each of the n * p(n) cells of --n and writes
-# a row for each: at the limit csv and json each take 1.8-2.3 s with a peak
-# RSS of 39 MB on one 2-core host (0.21-0.35 s and 17.5 MB at n = 30)
+# a row for each: at the limit, in fresh processes on one 2-core host,
+# four runs each, csv, json and text each take 0.85-0.94 s with a peak
+# RSS of 38.0-38.3 MB (0.14-0.18 s and 17.5-17.7 MB at n = 30)
 MATCH_MAX_N = 40
 
 # (command, flag) -> the flag's largest value, for every bound on one flag;
@@ -285,10 +287,17 @@ def _render_table(header: str, rows: Iterable[Sequence[int]], doc: dict[str, Any
 
 
 def _render_matching(table: explorer.MatchingTable, fmt: str) -> Iterator[str]:
-    """The matching's text in pieces of 4096 rows, so only one piece's row
-    strs are alive at once.  Each row is joined from four cached strs, two
-    per end: the partition index (one str per partition of n) and the
-    (row, col) in its diagram (one str per code in the cell column, n * n)."""
+    """The matching's text in pieces of whole partitions, 4096 // n of them
+    and so at most 4096 rows, so only one piece's strs are alive at once.
+
+    Each row is six slots of one list: two cached strs per end, the
+    partition index (one str per partition of n) and the (row, col) in its
+    diagram (one str per code in the cell column, n * n), with the mid
+    str between the ends and the row separator after them.  Each column
+    of a piece is gathered at C level, by ``itemgetter`` or by repeating
+    each source partition's str n times, and written by one stepped slice
+    assignment; the piece is then one ``"".join``: no Python call per row.
+    """
     n, cell, target = table
     if fmt == "json":
         # every value is an int, so this is json.dumps(..., sort_keys=True) text
@@ -302,23 +311,37 @@ def _render_matching(table: explorer.MatchingTable, fmt: str) -> Iterator[str]:
     else:
         part_fmt, place_fmt, sep = "(%d,", "%d,%d)", "\n"
         head, mid, tail = "", " -> ", ""
-    parts = [part_fmt % index for index in range(len(cell) // n)] if n else []
+    if not n:
+        if fmt == "json":
+            yield "]}"
+        return
+    parts = [part_fmt % index for index in range(len(cell) // n)]
     places = [place_fmt % (row, col) for row in range(1, n + 1) for col in range(1, n + 1)]
-
-    def ends(positions: Iterable[int], codes: Iterable[int]) -> tuple[Iterator[str], Iterator[str]]:
-        # cell k lies in partition k // n
-        return map(parts.__getitem__, map(n.__rfloordiv__, positions)), map(places.__getitem__, codes)
-
-    row_sep = tail + sep + head
-    for start in range(0, len(target), 4096):
-        if start or fmt == "csv":
+    step = 4096 // n
+    template = [None, None, mid, None, None, tail + sep + head] * (step * n)
+    for first in range(0, len(parts), step):
+        lo, hi = first * n, min(first + step, len(parts)) * n
+        if first or fmt == "csv":
             yield sep
-        dst = target[start : start + 4096]
-        src_ends = ends(range(start, start + len(dst)), cell[start : start + len(dst)])
-        dst_ends = ends(dst, map(cell.__getitem__, dst))
-        first, second = (dst_ends, src_ends) if fmt == "json" else (src_ends, dst_ends)
-        rows = map("".join, zip(*first, repeat(mid), *second))
-        yield head + row_sep.join(rows) + tail
+        yield head
+        src_parts = chain.from_iterable(map(repeat, parts[first : first + step], repeat(n)))
+        dst = target[lo:hi]
+        if len(dst) > 1:
+            src_places = itemgetter(*cell[lo:hi])(places)
+            dst_parts = itemgetter(*map(floordiv, dst, repeat(n)))(parts)
+            dst_places = itemgetter(*itemgetter(*dst)(cell))(places)
+        else:
+            # the one-cell table of n = 1: itemgetter of one index returns
+            # the bare item, not a 1-tuple
+            src_places = [places[cell[lo]]]
+            dst_parts, dst_places = [parts[dst[0] // n]], [places[cell[dst[0]]]]
+        piece = template[: 6 * (hi - lo)]
+        piece[-1] = tail
+        ends = (dst_parts, dst_places, src_parts, src_places)
+        if fmt != "json":
+            ends = ends[2:] + ends[:2]
+        piece[0::6], piece[1::6], piece[3::6], piece[4::6] = ends
+        yield "".join(piece)
     if fmt == "json":
         yield "]}"
 
@@ -347,13 +370,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif args.check == "identity1":
         reports = [statistics.verify_identity1(n) for n in range(args.n_max + 1)]
     elif args.check == "lemma":
-        reports = [statistics.verify_lemma(args.c, args.d, args.stat, args.n_max, args.trunc)]
-        extras = {
-            "counts": [
-                statistics.count_pair(n, args.c, args.d, args.stat)
-                for n in range(args.n_max + 1)
-            ]
-        }
+        # read once and passed in: the recursion caches only its latest n
+        c, d, stat, n_max = args.c, args.d, args.stat, args.n_max
+        counts = [statistics.count_pair(n, c, d, stat) for n in range(n_max + 1)]
+        reports = [statistics.verify_lemma(c, d, stat, n_max, args.trunc, counts)]
+        extras = {"counts": counts}
     elif args.check == "fact":
         reports = [_dispatch_fact(args)]
     elif args.check == "anatomy":

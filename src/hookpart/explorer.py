@@ -79,32 +79,42 @@ def matching_table(n: int) -> MatchingTable:
     Sources are keyed by (arm, left) and targets by (arm, leg); inside
     each key the k-th source, in enumeration order, is paired with the
     k-th target in that order.  One pass over ``partitions.runs_of``
-    fills the columns and groups the targets by key, already sorted, so
-    the pairing needs no sort: O(cells) after enumeration.  Any order
+    fills the cell column and groups the targets by key, already sorted,
+    so the pairing needs no sort: O(cells) after enumeration.  Any order
     inside a group would be valid; fixing this one makes runs diffable.
 
     A run of m rows of length L, from row ``top`` (0-based), is one block.
     Cell (r, j) of it has arm L-1-j, left j and leg heights[j]-1-r, with
     the partition's column heights from ``_column_heights``.  So its code
-    and source key depend only on (L, r, j), and its target key is an
-    (L, r, j) term plus its column's height.  Tables indexed by L, kept
-    to the n // L rows a row of length L can start at, hold those terms,
-    and each run takes its cells' codes and keys as one slice of each
-    table: no per-cell tuple or record is built, and the only per-cell
-    step is filing the cell's position under its target key.
+    depends only on (L, r, j), and its target key is an (L, r, j) term
+    plus its column's height.  Tables indexed by L, kept to the n // L
+    rows a row of length L can start at, hold those terms, and each run
+    takes its cells' codes and key terms as one slice of each table: no
+    per-cell tuple or record is built, and the only per-cell step is
+    filing the cell's position under its target key.
+
+    The sources need no per-cell step at all.  Column j of a row of
+    length L is the one cell of that row with source key (L-1-j, j), so
+    the first pass counts only the rows of each length, and each source
+    key's count is its length's row count.  Laid out row by row, the
+    rows of length L are one flat ``array('i')`` in which column j is
+    every L-th slot from j, and that slice takes the key's target group
+    whole: the i-th row of length L, in enumeration order, is paired
+    with the i-th target of each of its keys.  A second walk over the
+    runs then appends one slice of its length's layout per run.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     # arm, left and leg are all below n, so the key (a, b) is coded as the
     # int a * stride + b: ints sort like the tuples and cost no allocation
     stride = n + 1
-    codes, sources, arm_parts = [array("i")], [array("i")], [array("i")]
+    codes, arm_parts = [array("i")], [array("i")]
     for length in range(1, n + 1):
         rows, cols = range(n // length), range(length)
         codes.append(array("i", [r * n + j for r in rows for j in cols]))
-        sources.append(array("i", [(length - 1 - j) * stride + j for j in cols]) * len(rows))
         arm_parts.append(array("i", [(length - 1 - j) * stride - 1 - r for r in rows for j in cols]))
-    cell, source_keys = array("i"), array("i")
+    cell = array("i")
+    row_counts = [0] * (n + 1)
     targets: defaultdict[int, array] = defaultdict(functools.partial(array, "i"))
     for vals, mults in runs_of(n):
         heights = _column_heights(vals, mults)
@@ -114,21 +124,39 @@ def matching_table(n: int) -> MatchingTable:
             # the cell's position is the count of cells before it
             at = len(cell)
             cell.extend(codes[length][lo:hi])
-            source_keys.extend(sources[length][lo:hi])
+            row_counts[length] += mult
             for key in map(add, arm_parts[length][lo:hi], heights[:length] * mult):
                 targets[key].append(at)
                 at += 1
             top += mult
+    source_counts = {
+        (length - 1 - j) * stride + j: rows
+        for length, rows in enumerate(row_counts)
+        if rows
+        for j in range(length)
+    }
     target_counts = {key: len(group) for key, group in targets.items()}
-    sizes = compare_counts(f"matching(n={n})", Counter(source_keys), target_counts)
+    sizes = compare_counts(f"matching(n={n})", source_counts, target_counts)
     if not sizes.passed:
         disc = sizes.first_discrepancy
         raise IdentityViolation(
             f"pair multiset identity violated at n={n}, key={divmod(disc.where, stride)}: "
             f"{disc.expected} arm-left cells vs {disc.actual} arm-leg cells"
         )
-    iters = {key: iter(group) for key, group in targets.items()}
-    target = array("i", map(next, map(iters.__getitem__, source_keys)))
+    layouts = []
+    for length, rows in enumerate(row_counts):
+        flat = array("i", [0]) * (rows * length)
+        if rows:
+            for j in range(length):
+                flat[j::length] = targets[(length - 1 - j) * stride + j]
+        layouts.append(flat)
+    target = array("i")
+    rows_taken = [0] * (n + 1)
+    for vals, mults in runs_of(n):
+        for length, mult in zip(vals, mults):
+            lo = rows_taken[length]
+            target.extend(layouts[length][lo * length : (lo + mult) * length])
+            rows_taken[length] = lo + mult
     return MatchingTable(n, cell, target)
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from hookpart.partitions import box_gf_brute, runs_of
 from hookpart.qseries import (
@@ -241,24 +241,33 @@ def count_pair(n: int, c: int, d: int, stat: str) -> int:
     return build_pair_multiset(n, stat).count(c, d)
 
 
-def verify_lemma(c: int, d: int, stat: str, n_max: int, order: int) -> VerifyReport:
+def verify_lemma(
+    c: int, d: int, stat: str, n_max: int, order: int, counts: Sequence[int] | None = None
+) -> VerifyReport:
     """Check brute pair counts against the closed-form series.
 
     For every 0 <= n <= n_max, the count of (c, d) in the chosen filling
     must equal the coefficient of q^n in q^(c+d+1) / ((1 - q^(c+d+1)) (q)_inf),
-    which is built to order n_max only, whatever ``order`` is.
+    which is built to order n_max only, whatever ``order`` is.  The counts
+    are ``count_pair``'s for n = 0 .. n_max, or ``counts`` when a caller
+    has read them already: the recursion behind them caches only its
+    latest n, so reading them twice would run it twice from n = 0.
     """
     _check_pair_stat(stat)
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
     if n_max > order:
         raise ValueError(f"n_max ({n_max}) must not exceed the series order ({order})")
+    if counts is None:
+        counts = [count_pair(n, c, d, stat) for n in range(n_max + 1)]
+    elif len(counts) != n_max + 1:
+        raise ValueError(f"counts must hold n_max + 1 = {n_max + 1} counts, got {len(counts)}")
     context = f"lemma(c={c}, d={d}, stat={stat}, n_max={n_max})"
     rhs = lemma_rhs(c, d, n_max)
     return compare_counts(
         context,
         {n: rhs.coefficient(n) for n in range(n_max + 1)},
-        {n: count_pair(n, c, d, stat) for n in range(n_max + 1)},
+        dict(enumerate(counts)),
     )
 
 

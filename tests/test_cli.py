@@ -5,9 +5,11 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 import hookpart
 from hookpart import anatomy, cli, explorer, statistics
 from hookpart.cli import run
-from hookpart.explorer import IdentityViolation, canonical_matching
+from hookpart.explorer import CellRef, IdentityViolation, canonical_matching
 from hookpart.qseries import euler_inv
 from hookpart.statistics import build_pair_multiset
 
@@ -48,6 +50,16 @@ def test_lemma_shows_counts(capsys):
     )
     assert code == 0
     assert "counts: 0 1 2 4" in out
+
+
+@pytest.mark.parametrize("stat", statistics.PAIR_STATS)
+def test_lemma_runs_the_recursion_once(capsys, stat):
+    # the verdict and the counts extras read one pass over n = 0 .. n_max
+    for cached in (statistics._sweep, statistics._floors):
+        cached.cache_clear()
+    argv = f"verify lemma --stat {stat} --c 1 --d 0 --n-max 12 --trunc 12".split()
+    assert invoke(capsys, *argv)[0] == 0
+    assert statistics._floors.cache_info().misses == 12 + 1
 
 
 def test_lemma_range_usage_error(capsys):
@@ -422,6 +434,36 @@ def test_match_json_is_sorted_json_dumps(capsys, n):
     _, out, _ = invoke(capsys, "match", "--n", str(n), "--format", "text")
     lines = [f"({','.join(map(str, s))}) -> ({','.join(map(str, t))})" for s, t in pairs]
     assert out == "\n".join(lines) + "\n"
+
+
+def _permuted_tables(n):
+    """The canonical cell column of n under two non-canonical target
+    permutations: reversed, and one seeded shuffle."""
+    table = explorer.matching_table(n)
+    shuffled = list(table.target)
+    random.Random(n).shuffle(shuffled)
+    for target in (table.target[::-1], shuffled):
+        yield explorer.MatchingTable(n, table.cell, array("i", target))
+
+
+# n = 1: one one-row piece; 13: one part-full piece; 20: three full pieces and a part-full one
+@pytest.mark.parametrize("n", [1, 2, 7, 13, 20])
+def test_match_renders_any_target_permutation(capsys, monkeypatch, n):
+    for table in _permuted_tables(n):
+        monkeypatch.setattr(explorer, "matching_table", lambda _, table=table: table)
+        refs = [CellRef(k // n, at // n + 1, at % n + 1) for k, at in enumerate(table.cell)]
+        pairs = [(refs[k], refs[at]) for k, at in enumerate(table.target)]
+
+        doc = {"n": n, "pairs": [{"src": list(s), "dst": list(t)} for s, t in pairs]}
+        expected_json = json.dumps(doc, sort_keys=True) + "\n"
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["src_partition", "src_row", "src_col", "dst_partition", "dst_row", "dst_col"])
+        writer.writerows([*s, *t] for s, t in pairs)
+        lines = [f"({','.join(map(str, s))}) -> ({','.join(map(str, t))})" for s, t in pairs]
+        expected = {"json": expected_json, "csv": buffer.getvalue(), "text": "\n".join(lines) + "\n"}
+        for fmt, text in expected.items():
+            assert invoke(capsys, "match", "--n", str(n), "--format", fmt) == (0, text, "")
 
 
 # --- determinism and file output ----------------------------------------------

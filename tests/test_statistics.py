@@ -378,6 +378,16 @@ def test_verify_lemma_rejects_bad_range():
         verify_lemma(2, 2, "arm-leg", 50, 40)
 
 
+def test_verify_lemma_checks_the_counts_passed_in():
+    counts = [count_pair(n, 1, 0, "arm-left") for n in range(9)]
+    assert verify_lemma(1, 0, "arm-left", 8, 10, counts) == verify_lemma(1, 0, "arm-left", 8, 10)
+    counts[5] += 3
+    report = verify_lemma(1, 0, "arm-left", 8, 10, counts)
+    assert (report.passed, report.first_discrepancy) == (False, (5, 4, 7))
+    with pytest.raises(ValueError, match="^counts must hold n_max \\+ 1 = 9 counts, got 8$"):
+        verify_lemma(1, 0, "arm-left", 8, 10, counts[:-1])
+
+
 @pytest.mark.parametrize(
     "verify",
     [
