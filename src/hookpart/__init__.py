@@ -30,9 +30,7 @@ from hookpart.partitions import (
     partitions_of,
 )
 from hookpart.qseries import (
-    Discrepancy,
     QSeries,
-    VerifyReport,
     euler_inv,
     gauss_binomial,
     lemma_rhs,
@@ -44,6 +42,7 @@ from hookpart.qseries import (
     verify_fact2,
     zero,
 )
+from hookpart.reports import Discrepancy, VerifyReport
 from hookpart.statistics import (
     PairMultiset,
     build_pair_multiset,

@@ -24,15 +24,14 @@ against ``gauss_sum``, and stage2=stage3 is fact 1 at (a, k) = (d, c+1).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import pairwise
 from typing import Iterator, NamedTuple
 
 from hookpart import statistics
 from hookpart.partitions import runs_of
 from hookpart.qseries import (
     QSeries,
-    VerifyReport,
     box_quotient,
-    compare_counts,
     compare_series,
     euler_inv,
     euler_sum,
@@ -44,6 +43,7 @@ from hookpart.qseries import (
     partial_euler_inv,
     q_pochhammer,
 )
+from hookpart.reports import VerifyReport, compare_counts, first_failure
 
 
 class AnatomyFactors(NamedTuple):
@@ -174,31 +174,30 @@ def verify_anatomy(c: int, d: int, n_max: int, order: int) -> VerifyReport:
     context = f"anatomy(c={c}, d={d}, n_max={n_max})"
     brute = [_corner_counts(c, d, n) for n in range(n_max + 1)]
     placements = list(corner_placements(c, d, n_max))
-    stray = sorted(set().union(*brute) - set(placements))
-    if stray:
-        i, j = stray[0]
-        return VerifyReport.failure(
+
+    def checks() -> Iterator[VerifyReport]:
+        stray = sorted(set().union(*brute) - set(placements))
+        if stray:
+            i, j = stray[0]
+            actual = sum(counts.get((i, j), 0) for counts in brute)
+            yield VerifyReport.failure(context, ("corner-beyond-min-degree", i, j), 0, actual)
+        # built only once no stray corner is found
+        series = {(i, j): anatomy_gf(c, d, i, j, n_max).coeffs for i, j in placements}
+        # sorted, the keys follow the placements; zero counts are left out (a
+        # missing key counts as 0), which keeps both maps small
+        yield compare_counts(
             context,
-            where=("corner-beyond-min-degree", i, j),
-            expected=0,
-            actual=sum(counts.get((i, j), 0) for counts in brute),
+            {("corner", *ij, n): cnt for n, counts in enumerate(brute) for ij, cnt in counts.items()},
+            {("corner", *ij, n): cnt for ij, row in series.items() for n, cnt in enumerate(row) if cnt},
         )
-    series = {(i, j): anatomy_gf(c, d, i, j, n_max).coeffs for i, j in placements}
-    # sorted, the keys follow the placements; zero counts are left out (a
-    # missing key counts as 0), which keeps both maps small
-    report = compare_counts(
-        context,
-        {("corner", *ij, n): cnt for n, counts in enumerate(brute) for ij, cnt in counts.items()},
-        {("corner", *ij, n): cnt for ij, row in series.items() for n, cnt in enumerate(row) if cnt},
-    )
-    if not report.passed:
-        return report
-    return compare_counts(
-        context,
-        {n: statistics.count_pair(n, c, d, "arm-leg") for n in range(n_max + 1)},
-        {n: sum(coeffs[n] for coeffs in series.values()) for n in range(n_max + 1)},
-        "corner-sum",
-    )
+        yield compare_counts(
+            context,
+            {n: statistics.count_pair(n, c, d, "arm-leg") for n in range(n_max + 1)},
+            {n: sum(coeffs[n] for coeffs in series.values()) for n in range(n_max + 1)},
+            "corner-sum",
+        )
+
+    return first_failure(context, checks())
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +277,15 @@ _CHAIN_STAGES = (_chain_stage0, _chain_stage1, _chain_stage2, _chain_stage3, lem
 
 
 def proof_chain(c: int, d: int, order: int) -> VerifyReport:
-    """Evaluate all five stages of the derivation independently and compare.
+    """Evaluate the five stages of the derivation independently and compare.
 
     Reports the first failing adjacent equality (stage k vs stage k+1) at
-    the smallest failing exponent.  The last stage is the closed form
-    ``qseries.lemma_rhs``, so stage3=stage4 also catches a fault in the
-    closed form, or one shared by every derived stage.
+    the smallest failing exponent, and builds no stage after it.  The last
+    stage is the closed form ``qseries.lemma_rhs``, so stage3=stage4 also
+    catches a fault in the closed form, or one shared by every derived stage.
     """
     _check_corner_args(c, d, 0, 0)
     context = f"proof_chain(c={c}, d={d}, order={order})"
-    stages = [stage(c, d, order) for stage in _CHAIN_STAGES]
-    for k in range(len(stages) - 1):
-        report = compare_series(context, stages[k], stages[k + 1], f"stage{k}=stage{k + 1}")
-        if not report.passed:
-            return report
-    return VerifyReport.success(context)
+    stages = enumerate(pairwise(stage(c, d, order) for stage in _CHAIN_STAGES))
+    checks = (compare_series(context, *pair, f"stage{k}=stage{k + 1}") for k, pair in stages)
+    return first_failure(context, checks)

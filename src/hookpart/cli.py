@@ -23,7 +23,7 @@ from operator import floordiv, itemgetter
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from hookpart import anatomy, explorer, qseries, statistics
-from hookpart.qseries import VerifyReport
+from hookpart.reports import VerifyReport
 
 INTERNAL_ERROR = 3
 

@@ -19,7 +19,7 @@ from operator import add
 from typing import Any, NamedTuple
 
 from hookpart.partitions import cells, partitions_of, runs_of
-from hookpart.qseries import VerifyReport, compare_counts
+from hookpart.reports import VerifyReport, compare_counts
 
 
 class CellRef(NamedTuple):

@@ -16,59 +16,10 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Any, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Any, Optional, Sequence
 
-
-class Discrepancy(NamedTuple):
-    """First point at which two quantities that should agree do not."""
-
-    where: Any
-    expected: Any
-    actual: Any
-
-
-class _ReportFields(NamedTuple):
-    """VerifyReport's fields: a NamedTuple body cannot override ``__new__``,
-    so the subclass below checks the invariant."""
-
-    context: str
-    passed: bool
-    first_discrepancy: Optional[Discrepancy] = None
-
-
-class VerifyReport(_ReportFields):
-    """Outcome of one identity check.
-
-    ``passed`` is True exactly when ``first_discrepancy`` is None;
-    ``context`` labels the identity that was checked.  An immutable
-    record: a tuple of its three fields, compared and hashed by them.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, context: str, passed: bool, first_discrepancy: Optional[Discrepancy] = None
-    ) -> "VerifyReport":
-        if passed != (first_discrepancy is None):
-            raise ValueError("passed must mirror the absence of a discrepancy")
-        return super().__new__(cls, context, passed, first_discrepancy)
-
-    @classmethod
-    def _make(cls, iterable: Iterable[Any]) -> "VerifyReport":
-        # `_replace` builds through `_make`, whose default skips `__new__`
-        return cls(*iterable)
-
-    @classmethod
-    def success(cls, context: str) -> "VerifyReport":
-        return cls(context=context, passed=True)
-
-    @classmethod
-    def failure(cls, context: str, where: Any, expected: Any, actual: Any) -> "VerifyReport":
-        return cls(
-            context=context,
-            passed=False,
-            first_discrepancy=Discrepancy(where=where, expected=expected, actual=actual),
-        )
+# pickles made before reports existed name hookpart.qseries.VerifyReport and .Discrepancy
+from hookpart.reports import Discrepancy, VerifyReport, compare_counts  # noqa: F401
 
 
 class QSeries:
@@ -290,6 +241,7 @@ def euler_sum(shift: int, summands: Sequence[QSeries], order: int) -> QSeries:
     A_j = R_j + q^shift * A_(j+1) / (1 - q^(j+1)), so that A_0 is the sum:
     per term one in-place division by a two-term factor (e ascending, so
     acc[e - k] already holds the quotient) and one shift, O(order).
+    Every R_j must be of the given order.
     """
     _check_nonneg("shift", shift)
     _check_nonneg("series order", order)
@@ -299,6 +251,8 @@ def euler_sum(shift: int, summands: Sequence[QSeries], order: int) -> QSeries:
         for e in range(k, order + 1):
             acc[e] += acc[e - k]
         row = summands[j].coeffs
+        if len(row) != len(acc):
+            raise ValueError(f"order mismatch: {len(row) - 1} vs {order}")
         acc = list(row[:shift]) + [r + a for r, a in zip(row[shift:], acc)]
     return QSeries(acc)
 
@@ -397,25 +351,6 @@ def lemma_rhs(c: int, d: int, order: int) -> QSeries:
     marked_row = make_monomial(step, order)
     repeat = (one(order) - make_monomial(step, order)).invert()
     return marked_row * repeat * euler_inv(order)
-
-
-def compare_counts(
-    context: str,
-    expected: Mapping[Any, int],
-    actual: Mapping[Any, int],
-    label: Optional[str] = None,
-) -> VerifyReport:
-    """Compare two count maps key by key, a missing key counting as 0.
-
-    Reports the smallest key, in sorted order, at which the counts differ:
-    ``where`` is that key, or ``(label, key)`` when a label is given.
-    """
-    for key in sorted(expected.keys() | actual.keys()):
-        lhs, rhs = expected.get(key, 0), actual.get(key, 0)
-        if lhs != rhs:
-            where = key if label is None else (label, key)
-            return VerifyReport.failure(context, where=where, expected=lhs, actual=rhs)
-    return VerifyReport.success(context)
 
 
 def compare_series(

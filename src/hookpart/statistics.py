@@ -29,9 +29,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from hookpart.partitions import box_gf_brute, runs_of
 from hookpart.qseries import (
-    VerifyReport,
     box_quotient,
-    compare_counts,
     compare_series,
     gauss_binomial,
     lemma_rhs,
@@ -39,6 +37,7 @@ from hookpart.qseries import (
     one,
     partial_euler_inv,
 )
+from hookpart.reports import VerifyReport, compare_counts, first_failure
 
 PAIR_STATS = ("arm-leg", "arm-left")
 CELL_STATS = ("hook", "part")
@@ -225,15 +224,12 @@ def verify_identity1(n: int) -> VerifyReport:
     """
     context = f"identity1(n={n})"
     arm_leg, arm_left, hook_poly, part_poly = _sweep(n)
-    for label, lhs, rhs in (
-        (None, hook_poly, part_poly),
-        ("hook-from-arm-leg", hook_poly, _poly_from_pairs(arm_leg)),
-        ("part-from-arm-left", part_poly, _poly_from_pairs(arm_left)),
-    ):
-        report = compare_counts(context, lhs, rhs, label)
-        if not report.passed:
-            return report
-    return VerifyReport.success(context)
+    checks = (
+        (hook_poly, part_poly, None),
+        (hook_poly, _poly_from_pairs(arm_leg), "hook-from-arm-leg"),
+        (part_poly, _poly_from_pairs(arm_left), "part-from-arm-left"),
+    )
+    return first_failure(context, (compare_counts(context, *check) for check in checks))
 
 
 def count_pair(n: int, c: int, d: int, stat: str) -> int:
@@ -291,11 +287,9 @@ def verify_fact3(m: int, n: int) -> VerifyReport:
             m, n - 1, order
         )
     brute, quotient = box_gf_brute(m, n), box_quotient(m, n, order)
-    for label, side in (("brute vs closed", brute), ("recurrence", recurrence), ("quotient", quotient)):
-        report = compare_series(f"{context} [{label}]", side, closed)
-        if not report.passed:
-            return report
-    return VerifyReport.success(context)
+    sides = (("brute vs closed", brute), ("recurrence", recurrence), ("quotient", quotient))
+    checks = (compare_series(f"{context} [{label}]", side, closed) for label, side in sides)
+    return first_failure(context, checks)
 
 
 def verify_fact4(m: int, order: int) -> VerifyReport:
@@ -321,7 +315,6 @@ def verify_fact4(m: int, order: int) -> VerifyReport:
         for vals, mults in runs_of(n):
             bounded_part[n] += not vals or vals[0] <= m
             bounded_len[n] += sum(mults) <= m
-    report = compare_counts(context, dict(enumerate(series.coeffs)), bounded_part, "parts<=m")
-    if not report.passed:
-        return report
-    return compare_counts(context, bounded_part, bounded_len, "conjugate")
+    expected = dict(enumerate(series.coeffs))
+    checks = ((expected, bounded_part, "parts<=m"), (bounded_part, bounded_len, "conjugate"))
+    return first_failure(context, (compare_counts(context, *check) for check in checks))

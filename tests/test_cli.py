@@ -469,8 +469,7 @@ def test_match_renders_any_target_permutation(capsys, monkeypatch, n):
 # --- determinism and file output ----------------------------------------------
 
 
-def test_output_identical_across_jobs(capsys, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # use the pool on any host
+def test_output_identical_across_jobs(capsys):
     for check in ("theorem1", "identity1"):
         for fmt in ("text", "json", "csv"):
             argv = ["verify", check, "--n-max", "12", "--format", fmt]
@@ -516,7 +515,13 @@ def test_match_full_scale_output_matches_benchmark_digest(capsys, tmp_path, fmt)
 def test_match_full_scale_text_matches_api(capsys):
     pairs = canonical_matching(30).pairs
     _, out, _ = invoke(capsys, "match", "--n", "30", "--format", "text")
-    assert out == "".join("(%s,%s,%s) -> (%s,%s,%s)\n" % (*s, *t) for s, t in pairs)
+    expected = "".join("(%s,%s,%s) -> (%s,%s,%s)\n" % (*s, *t) for s, t in pairs)
+    # both are 10 MB: an `==` assertion would have pytest diff them for minutes
+    assert len(out) == len(expected)
+    if out != expected:
+        lines = zip(out.splitlines(), expected.splitlines())
+        k, (got, want) = next((k, pair) for k, pair in enumerate(lines) if pair[0] != pair[1])
+        pytest.fail(f"line {k}: {got!r} != {want!r}")
 
 
 def test_match_of_zero(capsys, tmp_path):

@@ -347,6 +347,14 @@ def test_euler_sum_rejects_negative_shift():
     assert qseries.euler_sum(0, [one(5)], 5) == one(5)
 
 
+@pytest.mark.parametrize("shift, summands", [(1, [one(3)]), (2, [one(8)]), (1, [one(5), one(4)])])
+def test_euler_sum_rejects_a_summand_of_another_order(shift, summands):
+    # a shorter summand once gave a shorter sum, and a longer one a sum of order 7
+    wrong = next(s.order for s in summands if s.order != 5)
+    with pytest.raises(ValueError, match=f"order mismatch: {wrong} vs 5"):
+        qseries.euler_sum(shift, summands, 5)
+
+
 @pytest.mark.parametrize(
     "shift, a, message",
     [(-1, 1, "shift must be nonnegative, got -1"), (1, -2, "a must be nonnegative, got -2")],
